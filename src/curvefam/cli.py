@@ -24,6 +24,7 @@ from . import burling, familyfile, reductions, svgrender
 from .errors import (
     CurvefamError,
     FileFormatError,
+    ImproperColoring,
     SolverBudgetExceeded,
 )
 from .families import CurveFamily, FamilyKind, validate_lr
@@ -87,6 +88,12 @@ def _load_coloring(path: str) -> dict:
         raise FileFormatError(f"{path}: bad coloring file ({exc})") from None
 
 
+def _check_proper(g, witness: Coloring) -> None:
+    ok, edge = is_proper(g, witness)
+    if not ok:
+        raise ImproperColoring((g.labels[edge[0]], g.labels[edge[1]]))
+
+
 def _coloring_doc(colors: dict) -> str:
     palette = len(set(colors.values()))
     return familyfile.dump_json({"colors": colors, "palette": palette})
@@ -139,8 +146,7 @@ def _cmd_color(cfg: RunConfig) -> int:
         random.Random(cfg.seed).shuffle(order)
         witness = greedy_coloring(g, order)
         print(witness.num_colors)
-    ok, _ = is_proper(g, witness)
-    assert ok
+    _check_proper(g, witness)
     if cfg.args.out:
         _write(cfg.args.out, _coloring_doc(witness.as_label_map(g)))
     return EXIT_OK
@@ -242,8 +248,7 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         budget = cfg.budget()
         coloring = reductions.two_t_product_coloring(fam, budget=budget)
         g = build_graph(fam.members)
-        ok, _ = is_proper(g, Coloring(tuple(coloring[m.id] for m in fam.members)))
-        assert ok
+        _check_proper(g, Coloring(tuple(coloring[m.id] for m in fam.members)))
         _write(cfg.args.out, _coloring_doc(coloring))
         return EXIT_OK
 

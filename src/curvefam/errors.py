@@ -75,6 +75,13 @@ class ImproperColoring(CurvefamError):
         self.edge = edge
 
 
+class CertificateError(CurvefamError):
+    """A computed result failed the recheck of its certificate.
+
+    Signals a solver or reduction bug; never expected on valid input.
+    """
+
+
 class ScaleOverflow(CurvefamError):
     """Integer coordinates would exceed the 2**62 magnitude contract."""
 

@@ -50,9 +50,25 @@ def _check_int(v, what: str) -> int:
     return v
 
 
+_TYPE_NAMES = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
+
+
+def _typed(v, typ, what: str):
+    """v itself, after checking that it is a typ (a bool is no integer)."""
+    if isinstance(v, bool) or not isinstance(v, typ):
+        raise FileFormatError(f"{what} must be {_TYPE_NAMES[typ]}, got {v!r:.60}")
+    return v
+
+
+def _probe_from_json(row, what: str) -> Probe:
+    if not isinstance(row, list) or len(row) != 2:
+        raise FileFormatError(f"{what} must be [x_lo, x_hi], got {row!r:.60}")
+    return Probe(_check_int(row[0], what), _check_int(row[1], what))
+
+
 def _points_from_json(rows, what: str):
     pts = []
-    for row in rows:
+    for row in _typed(rows, list, f"{what} points"):
         if not isinstance(row, (list, tuple)) or len(row) != 2:
             raise FileFormatError(f"{what}: point must be [x, y], got {row!r}")
         pts.append(Point(_check_int(row[0], what), _check_int(row[1], what)))
@@ -113,9 +129,11 @@ def family_from_jsonable(doc: dict) -> CurveFamily:
         raise FileFormatError(f"unknown family kind {kind_s!r}")
     kind = _KINDS_BY_STRING[kind_s]
     t = doc.get("t")
+    if t is not None:
+        _typed(t, int, "t")
     members = []
-    for row in doc.get("curves", []):
-        if "points" not in row:
+    for row in _typed(doc.get("curves", []), list, "curves"):
+        if "points" not in _typed(row, dict, "curve"):
             raise FileFormatError(f"curve {row.get('id')!r} misses points")
         poly = Polyline(_points_from_json(row["points"], f"curve {row.get('id')!r}"),
                         str(row.get("id", "")))
@@ -139,25 +157,42 @@ def _node_to_jsonable(node: BurlingNode) -> dict:
     }
 
 
-def _node_from_jsonable(doc: dict) -> BurlingNode:
-    level = doc.get("level")
+def _node_from_jsonable(doc) -> BurlingNode:
+    """One recursion-tree node, with the shape the construction gives it.
+
+    A level-k node (k > 1) holds a level-(k-1) outer copy, one level-(k-1)
+    inner copy per outer probe, and per inner probe of copy i a gadget in
+    row i.
+    """
+    doc = _typed(doc, dict, "recursion-tree node")
+    level = _typed(doc.get("level"), int, "recursion-tree level")
+    if level < 1:
+        raise FileFormatError(f"recursion-tree level must be >= 1, got {level}")
     if level == 1:
-        lo, hi = doc["probe"]
-        return BurlingNode(level=1, member_id=doc["member"],
-                           probe=Probe(_check_int(lo, "probe"), _check_int(hi, "probe")))
+        return BurlingNode(level=1, member_id=_typed(doc.get("member"), str, "tree member"),
+                           probe=_probe_from_json(doc.get("probe"), "probe"))
+    outer = _node_from_jsonable(doc.get("outer"))
+    inner = tuple(_node_from_jsonable(ch)
+                  for ch in _typed(doc.get("inner"), list, "inner copies"))
+    if any(ch.level != level - 1 for ch in (outer, *inner)):
+        raise FileFormatError(f"a level-{level} node needs level-{level - 1} copies")
+    rows = _typed(doc.get("gadgets"), list, "gadget rows")
+    if len(inner) != len(outer.probes) or len(rows) != len(inner):
+        raise FileFormatError(
+            f"a level-{level} node needs one inner copy and one gadget row "
+            "per outer probe")
     gadget_rows = []
-    for row in doc.get("gadgets", []):
-        gadget_rows.append(tuple(
-            Gadget(g["x"],
-                   Probe(_check_int(g["a"][0], "probe"), _check_int(g["a"][1], "probe")),
-                   Probe(_check_int(g["b"][0], "probe"), _check_int(g["b"][1], "probe")))
-            for g in row))
-    return BurlingNode(
-        level=level,
-        outer=_node_from_jsonable(doc["outer"]),
-        inner=tuple(_node_from_jsonable(ch) for ch in doc.get("inner", [])),
-        gadgets=tuple(gadget_rows),
-    )
+    for row, ch in zip(rows, inner):
+        if len(_typed(row, list, "gadget row")) != len(ch.probes):
+            raise FileFormatError("a gadget row needs one gadget per inner probe")
+        gadgets = []
+        for g in row:
+            g = _typed(g, dict, "gadget")
+            gadgets.append(Gadget(_typed(g.get("x"), str, "gadget member"),
+                                  _probe_from_json(g.get("a"), "probe"),
+                                  _probe_from_json(g.get("b"), "probe")))
+        gadget_rows.append(tuple(gadgets))
+    return BurlingNode(level=level, outer=outer, inner=inner, gadgets=tuple(gadget_rows))
 
 
 def burling_to_jsonable(inst: BurlingInstance) -> dict:
@@ -174,8 +209,8 @@ def burling_to_jsonable(inst: BurlingInstance) -> dict:
 
 def burling_from_jsonable(doc: dict) -> BurlingInstance:
     members = []
-    for row in doc.get("curves", []):
-        parts = row.get("parts")
+    for row in _typed(doc.get("curves", []), list, "curves"):
+        parts = _typed(row, dict, "double-curve").get("parts")
         if not isinstance(parts, list) or len(parts) != 2:
             raise FileFormatError(
                 f"double-curve {row.get('id')!r} needs parts [L, R]")
@@ -183,13 +218,16 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
         left = Polyline(_points_from_json(parts[0], f"{mid}.L"), f"{mid}.L")
         right = Polyline(_points_from_json(parts[1], f"{mid}.R"), f"{mid}.R")
         members.append(DoubleCurve(mid, left, right))
-    probes = tuple(Probe(_check_int(lo, "probe"), _check_int(hi, "probe"))
-                   for lo, hi in doc.get("probes", []))
+    probes = tuple(_probe_from_json(row, "probe")
+                   for row in _typed(doc.get("probes", []), list, "probes"))
     burl = doc.get("burling")
-    if not burl or "tree" not in burl or "k" not in burl:
+    if not isinstance(burl, dict) or "tree" not in burl or "k" not in burl:
         raise FileFormatError("double-curve family needs a burling section")
     tree = _node_from_jsonable(burl["tree"])
-    inst = BurlingInstance(int(burl["k"]), tuple(members), probes,
+    if _typed(burl["k"], int, "burling k") != tree.level:
+        raise FileFormatError(
+            f"burling k = {burl['k']} disagrees with the tree level {tree.level}")
+    inst = BurlingInstance(burl["k"], tuple(members), probes,
                            _check_int(doc.get("scale", 1), "scale"), tree)
     if tree.probes != probes:
         raise FileFormatError("probes section disagrees with the recursion tree")
@@ -213,7 +251,7 @@ def load(path: str) -> Union[CurveFamily, BurlingInstance]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")

@@ -1,7 +1,8 @@
 """Exact planar primitives for curves anchored to a horizontal baseline.
 
 All coordinates are exact numbers: Python ints (fixed-point, units of
-1/scale) or Fractions produced by cutting edges. Every predicate is decided
+1/scale) or Fractions produced by cutting edges off the integer grid; a
+whole-number Fraction is stored as an int. Every predicate is decided
 with integer/rational arithmetic only, so results are invariant under
 scaling and never suffer floating-point flakiness. Python integers are
 arbitrary precision, which subsumes the wide-intermediate requirement for
@@ -13,8 +14,10 @@ The baseline is the line y = 0; the closed upper half-plane is y >= 0.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import (
@@ -47,8 +50,18 @@ class Point:
     y: Coord
 
     def __post_init__(self):
-        if not is_exact(self.x) or not is_exact(self.y):
-            raise TypeError(f"coordinates must be int or Fraction, got {self.x!r}, {self.y!r}")
+        x, y = self.x, self.y
+        if type(x) is int and type(y) is int:
+            return
+        if not is_exact(x) or not is_exact(y):
+            raise TypeError(f"coordinates must be int or Fraction, got {x!r}, {y!r}")
+        # Whole numbers are stored as ints, so every point that is integral
+        # keeps the predicates on int arithmetic. Equality and hashing are
+        # unchanged: Fraction(5, 1) == 5 and both hash alike.
+        if type(x) is not int and x.denominator == 1:
+            object.__setattr__(self, "x", x.numerator)
+        if type(y) is not int and y.denominator == 1:
+            object.__setattr__(self, "y", y.numerator)
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -63,6 +76,13 @@ def _sign(v: Coord) -> int:
     if v < 0:
         return -1
     return 0
+
+
+def _quotient(n: Coord, d: Coord) -> Coord:
+    """n / d exactly: an int when d divides n, else a Fraction."""
+    if type(n) is int and n % d == 0:
+        return n // d
+    return Fraction(n, d)
 
 
 def orientation(o: Point, a: Point, b: Point) -> int:
@@ -94,10 +114,12 @@ def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
     (SegRelation.OVERLAP, (a, b)) where ab is the shared subsegment of
     positive length. All computed points are exact.
     """
-    d1 = orientation(q1, q2, p1)
-    d2 = orientation(q1, q2, p2)
-    d3 = orientation(p1, p2, q1)
-    d4 = orientation(p1, p2, q2)
+    # The four orientation tests, inlined: this is the innermost pair loop.
+    px, py, qx, qy = p2.x - p1.x, p2.y - p1.y, q2.x - q1.x, q2.y - q1.y
+    d1 = _sign(qx * (p1.y - q1.y) - qy * (p1.x - q1.x))
+    d2 = _sign(qx * (p2.y - q1.y) - qy * (p2.x - q1.x))
+    d3 = _sign(px * (q1.y - p1.y) - py * (q1.x - p1.x))
+    d4 = _sign(px * (q2.y - p1.y) - py * (q2.x - p1.x))
 
     if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
         # Collinear: project on the dominant axis and intersect parameter ranges.
@@ -118,13 +140,11 @@ def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
         return SegRelation.OVERLAP, (pick(lo), pick(hi))
 
     if d1 * d2 < 0 and d3 * d4 < 0:
-        # Proper crossing in both interiors; solve for the point exactly.
-        num = (q2.x - q1.x) * (p1.y - q1.y) - (q2.y - q1.y) * (p1.x - q1.x)
-        den = (q2.y - q1.y) * (p2.x - p1.x) - (q2.x - q1.x) * (p2.y - p1.y)
-        t = Fraction(num, den)
-        x = p1.x + t * (p2.x - p1.x)
-        y = p1.y + t * (p2.y - p1.y)
-        return SegRelation.POINT, Point(x, y)
+        # Proper crossing in both interiors: the point is p1 + (num/den)(p2 - p1).
+        num = qx * (p1.y - q1.y) - qy * (p1.x - q1.x)
+        den = qy * px - qx * py
+        return SegRelation.POINT, Point(_quotient(p1.x * den + num * px, den),
+                                        _quotient(p1.y * den + num * py, den))
 
     # Touching cases: an endpoint of one segment lies on the other.
     for pt, da, (a, b) in ((p1, d1, (q1, q2)), (p2, d2, (q1, q2)),
@@ -153,23 +173,25 @@ class Polyline:
             if a == b:
                 raise ContractError(f"polyline {self.id!r} repeats vertex {a}")
 
-    @property
+    # Lazy caches: functools.cached_property stores the value in the
+    # instance __dict__, so later reads are plain attribute loads (the
+    # frozen dataclass forbids only __setattr__).
+    @cached_property
     def segments(self):
-        segs = getattr(self, "_segments", None)
-        if segs is None:
-            segs = tuple(zip(self.points, self.points[1:]))
-            object.__setattr__(self, "_segments", segs)
-        return segs
+        return tuple(zip(self.points, self.points[1:]))
 
-    @property
+    @cached_property
+    def segment_boxes(self):
+        """Per segment ab, the tuple (xmin, xmax, ymin, ymax, a, b)."""
+        return tuple((a.x if a.x < b.x else b.x, b.x if a.x < b.x else a.x,
+                      a.y if a.y < b.y else b.y, b.y if a.y < b.y else a.y, a, b)
+                     for a, b in self.segments)
+
+    @cached_property
     def bbox(self):
-        box = getattr(self, "_bbox", None)
-        if box is None:
-            xs = [p.x for p in self.points]
-            ys = [p.y for p in self.points]
-            box = (min(xs), min(ys), max(xs), max(ys))
-            object.__setattr__(self, "_bbox", box)
-        return box
+        xs = [p.x for p in self.points]
+        ys = [p.y for p in self.points]
+        return (min(xs), min(ys), max(xs), max(ys))
 
     def reversed(self) -> "Polyline":
         return Polyline(tuple(reversed(self.points)), self.id)
@@ -178,10 +200,7 @@ class Polyline:
         return Polyline(tuple(p.scaled(factor) for p in self.points), self.id)
 
 
-def _bbox_disjoint(a: Polyline, b: Polyline) -> bool:
-    ax0, ay0, ax1, ay1 = a.bbox
-    bx0, by0, bx1, by1 = b.bbox
-    return ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0
+_xy = operator.attrgetter("x", "y")
 
 
 def validate_simple(poly: Polyline) -> None:
@@ -190,12 +209,14 @@ def validate_simple(poly: Polyline) -> None:
     Adjacent edges may meet only at their shared vertex; all other edge pairs
     must be disjoint.
     """
-    segs = poly.segments
-    n = len(segs)
+    boxes = poly.segment_boxes
+    n = len(boxes)
     for i in range(n):
-        a1, a2 = segs[i]
+        sx0, sx1, sy0, sy1, a1, a2 = boxes[i]
         for j in range(i + 1, n):
-            b1, b2 = segs[j]
+            tx0, tx1, ty0, ty1, b1, b2 = boxes[j]
+            if sx1 < tx0 or tx1 < sx0 or sy1 < ty0 or ty1 < sy0:
+                continue
             rel, data = segment_intersection(a1, a2, b1, b2)
             if rel is SegRelation.DISJOINT:
                 continue
@@ -208,6 +229,33 @@ def validate_simple(poly: Polyline) -> None:
                 f"polyline {poly.id!r} self-intersects between edges {i} and {j}")
 
 
+def _box_pairs(a: Polyline, b: Polyline) -> list:
+    """(a1, a2, b1, b2) for each segment pair whose boxes meet.
+
+    The one segment-pair loop of the pairwise predicates. Segments outside
+    the other polyline's bounding box are dropped before the pair loop.
+    Plain loops, not comprehensions: a comprehension would turn the box
+    bounds into closure cells, which costs every call, and most calls end
+    at the first test.
+    """
+    ax0, ay0, ax1, ay1 = a.bbox
+    bx0, by0, bx1, by1 = b.bbox
+    pairs = []
+    if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
+        return pairs
+    b_boxes = []
+    for box in b.segment_boxes:
+        if not (box[1] < ax0 or ax1 < box[0] or box[3] < ay0 or ay1 < box[2]):
+            b_boxes.append(box)
+    for sx0, sx1, sy0, sy1, a1, a2 in a.segment_boxes:
+        if sx1 < bx0 or bx1 < sx0 or sy1 < by0 or by1 < sy0:
+            continue
+        for tx0, tx1, ty0, ty1, b1, b2 in b_boxes:
+            if not (sx1 < tx0 or tx1 < sx0 or sy1 < ty0 or ty1 < sy0):
+                pairs.append((a1, a2, b1, b2))
+    return pairs
+
+
 def segments_intersect(a: Polyline, b: Polyline) -> list:
     """All common points of two simple polylines, exactly.
 
@@ -217,33 +265,21 @@ def segments_intersect(a: Polyline, b: Polyline) -> list:
     its arguments as a point set.
     """
     found = set()
-    if _bbox_disjoint(a, b):
-        return []
-    for a1, a2 in a.segments:
-        for b1, b2 in b.segments:
-            if (max(a1.x, a2.x) < min(b1.x, b2.x) or max(b1.x, b2.x) < min(a1.x, a2.x)
-                    or max(a1.y, a2.y) < min(b1.y, b2.y) or max(b1.y, b2.y) < min(a1.y, a2.y)):
-                continue
-            rel, data = segment_intersection(a1, a2, b1, b2)
-            if rel is SegRelation.OVERLAP:
-                raise OverlapError(
-                    f"polylines {a.id!r} and {b.id!r} share a segment of positive length")
-            if rel is SegRelation.POINT:
-                found.add(data)
-    return sorted(found, key=lambda p: (p.x, p.y))
+    for a1, a2, b1, b2 in _box_pairs(a, b):
+        rel, data = segment_intersection(a1, a2, b1, b2)
+        if rel is SegRelation.OVERLAP:
+            raise OverlapError(
+                f"polylines {a.id!r} and {b.id!r} share a segment of positive length")
+        if rel is SegRelation.POINT:
+            found.add(data)
+    return sorted(found, key=_xy) if found else []
 
 
 def polylines_disjoint(a: Polyline, b: Polyline) -> bool:
-    if _bbox_disjoint(a, b):
-        return True
-    for a1, a2 in a.segments:
-        for b1, b2 in b.segments:
-            if (max(a1.x, a2.x) < min(b1.x, b2.x) or max(b1.x, b2.x) < min(a1.x, a2.x)
-                    or max(a1.y, a2.y) < min(b1.y, b2.y) or max(b1.y, b2.y) < min(a1.y, a2.y)):
-                continue
-            rel, _ = segment_intersection(a1, a2, b1, b2)
-            if rel is not SegRelation.DISJOINT:
-                return False
+    for a1, a2, b1, b2 in _box_pairs(a, b):
+        rel, _ = segment_intersection(a1, a2, b1, b2)
+        if rel is not SegRelation.DISJOINT:
+            return False
     return True
 
 
@@ -446,6 +482,8 @@ def segment_meets_vstrip(a: Point, b: Point, lo: Coord, hi: Coord) -> bool:
         return False
     if a.x == b.x:
         return max(a.y, b.y) >= 0
+    if a.y == b.y:
+        return a.y >= 0
     # Clip the parameter range to the strip and test the maximum of linear y.
     t0 = Fraction(lo - a.x, b.x - a.x)
     t1 = Fraction(hi - a.x, b.x - a.x)
@@ -459,4 +497,9 @@ def segment_meets_vstrip(a: Point, b: Point, lo: Coord, hi: Coord) -> bool:
 
 def polyline_meets_vstrip(poly: Polyline, lo: Coord, hi: Coord) -> bool:
     """True if the polyline meets the closed strip [lo, hi] x [0, inf)."""
-    return any(segment_meets_vstrip(a, b, lo, hi) for a, b in poly.segments)
+    for xmin, xmax, _, ymax, a, b in poly.segment_boxes:
+        if xmax < lo or xmin > hi or ymax < 0:
+            continue
+        if segment_meets_vstrip(a, b, lo, hi):
+            return True
+    return False

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ContractError, SolverBudgetExceeded
+from .errors import CertificateError, ContractError, ImproperColoring, SolverBudgetExceeded
 
 ENV_NODE_BUDGET = "CURVEFAM_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -29,7 +29,12 @@ class Budget:
 
     def __init__(self, nodes: Optional[int] = None, time_ms: Optional[int] = None):
         if nodes is None:
-            nodes = int(os.environ.get(ENV_NODE_BUDGET, DEFAULT_NODE_BUDGET))
+            raw = os.environ.get(ENV_NODE_BUDGET)
+            try:
+                nodes = DEFAULT_NODE_BUDGET if raw is None else int(raw)
+            except ValueError:
+                raise ContractError(
+                    f"{ENV_NODE_BUDGET} must be an integer, got {raw!r}") from None
         if nodes <= 0 or (time_ms is not None and time_ms <= 0):
             raise ContractError("budget must be positive")
         self.remaining = nodes
@@ -443,8 +448,11 @@ def chromatic_number(G: IntersectionGraph, upper_bound_hint: Optional[int] = Non
     for c in range(lb, ub):
         w = chromatic_decision(G, c, budget)
         if w is not None:
-            ok, _ = is_proper(G, w)
-            assert ok and w.num_colors <= c
+            ok, edge = is_proper(G, w)
+            if not ok:
+                raise ImproperColoring((G.labels[edge[0]], G.labels[edge[1]]))
+            if w.num_colors > c:
+                raise CertificateError(f"witness for chi <= {c} uses {w.num_colors} colors")
             return c, w
         budget.lower = c + 1
     return ub, witness

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 from .errors import (
     AuxiliaryNotFourColorable,
     BelowBaselineIntersectionError,
+    CertificateError,
     ContractError,
     ImproperCellColoring,
     IntervalCrossingError,
@@ -475,7 +476,9 @@ def mcguinness_subgraph(G: IntersectionGraph, order: Sequence[int],
         w = greedy_coloring(sub, list(range(sub.n)))
         if w.num_colors > beta + 1:
             w = chromatic_decision(sub, beta + 1, budget)
-            assert w is not None
+            if w is None:
+                raise CertificateError(
+                    f"block {blk} needs more than beta + 1 = {beta + 1} colors")
         cls = [[] for _ in range(beta + 1)]
         for i, v in enumerate(mapping):
             cls[w.colors[i]].append(v)
@@ -502,7 +505,7 @@ def mcguinness_subgraph(G: IntersectionGraph, order: Sequence[int],
             chosen = (verts, name, chi)
             break
     if chosen is None:
-        raise AssertionError("parity split failed; exact solver disagrees with theory")
+        raise CertificateError("parity split failed; exact solver disagrees with theory")
     h_vertices, parity, chi_h = chosen
 
     h_graph, mapping = induced_subgraph(G, h_vertices)
@@ -516,7 +519,7 @@ def mcguinness_subgraph(G: IntersectionGraph, order: Sequence[int],
         chi, _ = chromatic_number(sub, budget=budget)
         edge_between_chi[(u, v)] = chi
         if chi <= beta:
-            raise AssertionError(
+            raise CertificateError(
                 f"edge ({u},{v}) has chi(G(u,v)) = {chi} <= beta = {beta}")
     return McGuinnessResult(tuple(h_vertices), h_graph, chi_h, tuple(blocks),
                             best_r, parity, edge_between_chi, chi_host, threshold)

@@ -1,14 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from curvefam import familyfile
+import curvefam
+from curvefam import cli, familyfile, reductions
 from curvefam.burling import generate
 from curvefam.cli import main
 from curvefam.errors import FileFormatError
 from curvefam.families import CurveFamily, FamilyKind, decompose_even_curve
 from curvefam.geometry import Point as P, Polyline
+from curvefam.graphcore import Coloring, build_graph
 from generators import lr_family, two_t_family
 
 
@@ -84,6 +89,96 @@ class TestFamilyFiles:
             familyfile.load(str(path))
 
 
+def _drop_outer(doc):
+    del doc["burling"]["tree"]["outer"]
+
+
+def _short_gadget_probe(doc):
+    doc["burling"]["tree"]["gadgets"][0][0]["a"] = [5]
+
+
+def _curves_not_a_list(doc):
+    doc["curves"] = 5
+
+
+def _level_not_an_int(doc):
+    doc["burling"]["tree"]["level"] = "x"
+
+
+def _level_skips_outer(doc):
+    doc["burling"]["tree"]["level"] = 3
+
+
+@pytest.mark.parametrize("mutate", [_drop_outer, _short_gadget_probe, _curves_not_a_list,
+                                    _level_not_an_int, _level_skips_outer])
+def test_malformed_double_curve_file(tmp_path, capsys, mutate):
+    doc = familyfile.burling_to_jsonable(generate(2))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(familyfile.dump_json(doc))
+    with pytest.raises(FileFormatError):
+        familyfile.load(str(path))
+    assert main(["verify-family", str(path)]) == 4
+    assert "FileFormatError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    b"\xff\xfe{}",
+    b'{"scale": 1, "kind": "two_t", "t": "x", "curves": []}',
+])
+def test_malformed_family_file(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_bytes(body)
+    assert main(["verify-family", str(path)]) == 4
+    assert "FileFormatError" in capsys.readouterr().err
+
+
+def _write_two_t(tmp_path) -> str:
+    fam = two_t_family(random.Random(9), max_members=6)
+    assert build_graph(fam.members).m > 0
+    path = str(tmp_path / "fam.json")
+    familyfile.save(fam, path)
+    return path
+
+
+class TestCertificateChecks:
+    """Certificates are rechecked by raises that survive `python -O`."""
+
+    def test_color_under_optimize_flag(self, tmp_path):
+        fam_path, col_path = str(tmp_path / "x3.json"), str(tmp_path / "col.json")
+        familyfile.save(generate(3), fam_path)
+        src = os.path.dirname(os.path.dirname(curvefam.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "curvefam.cli", "color", "--exact",
+             "--family", fam_path, "--out", col_path],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3\n"
+        doc = json.loads(open(col_path).read())
+        g = build_graph(familyfile.load(fam_path).members)
+        assert doc["palette"] == 3 and set(doc["colors"]) == set(g.labels)
+        assert all(doc["colors"][g.labels[u]] != doc["colors"][g.labels[v]]
+                   for u, v in g.edges())
+
+    def test_improper_exact_witness_rejected(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "path.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        monkeypatch.setattr(cli, "chromatic_number",
+                            lambda g, budget=None: (1, Coloring((0,) * g.n)))
+        assert main(["color", "--exact", "--graph", str(path)]) == 2
+        assert "ImproperColoring" in capsys.readouterr().err
+
+    def test_improper_product_coloring_rejected(self, tmp_path, capsys, monkeypatch):
+        fam_path = _write_two_t(tmp_path)
+        monkeypatch.setattr(reductions, "two_t_product_coloring",
+                            lambda fam, budget=None: {m.id: 0 for m in fam.members})
+        assert main(["reduce", "product-color", "--family", fam_path,
+                     "--out", str(tmp_path / "col.json")]) == 2
+        assert "ImproperColoring" in capsys.readouterr().err
+
+
 class TestCli:
     def test_gen_verify_omega_color_audit(self, tmp_path, capsys):
         fam_path = str(tmp_path / "x3.json")
@@ -132,6 +227,13 @@ class TestCli:
         }))
         assert main(["verify-family", str(path)]) == 2
         assert "TangencyError" in capsys.readouterr().err
+
+    def test_bad_node_budget_env(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "k4.txt"
+        path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        monkeypatch.setenv("CURVEFAM_NODE_BUDGET", "abc")
+        assert main(["color", "--exact", "--graph", str(path)]) == 2
+        assert "ContractError" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         assert main(["verify-family", str(tmp_path / "missing.json")]) == 4

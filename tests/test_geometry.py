@@ -5,18 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvefam.errors import CollinearError, ContractError, OverlapError, TangencyError
+from curvefam.errors import (
+    CollinearError,
+    ContractError,
+    GeometryError,
+    OverlapError,
+    TangencyError,
+)
+from curvefam.families import refine_at_crossings
 from curvefam.geometry import (
     CapCurve,
     Point as P,
     Polyline,
     Region,
     baseline_crossings,
+    baseline_crossings_along,
     orientation,
     polyline_meets_vstrip,
+    polylines_disjoint,
     precedes,
     region_of,
     segments_intersect,
+    subcurve,
     validate_simple,
 )
 from oracles import collinear_overlap, region_oracle, segments_touch_oracle
@@ -295,3 +305,94 @@ def test_randomized_segment_oracle_agreement():
             continue
         assert got == segments_touch_oracle(a, b, 10)
         agree += 1
+
+
+# The kernel stores whole-number coordinates as ints; a point given with
+# Fraction(v, 1) coordinates must behave exactly like the int point, and
+# off-grid Fractions must give the int results scaled.
+
+@st.composite
+def polyline_coords(draw):
+    """2-5 vertices in [0, 10]^2: an axis-parallel staircase or a slanted path."""
+    axis_parallel = draw(st.booleans())
+    turn = draw(st.integers(0, 1))
+    pts = [(draw(COORD), draw(COORD))]
+    for i in range(draw(st.integers(1, 4))):
+        x, y = pts[-1]
+        if axis_parallel and (i + turn) % 2:
+            nxt = (x, draw(COORD.filter(lambda v: v != y)))
+        elif axis_parallel:
+            nxt = (draw(COORD.filter(lambda v: v != x)), y)
+        else:
+            nxt = draw(st.tuples(COORD, COORD).filter(lambda p: p != (x, y)))
+        pts.append(nxt)
+    return pts
+
+
+def poly_of(coords, conv=lambda v: v, id=""):
+    return Polyline(tuple(P(conv(x), conv(y)) for x, y in coords), id)
+
+
+def intersections_or_overlap(a, b):
+    try:
+        return segments_intersect(a, b)
+    except OverlapError:
+        return "overlap"
+
+
+class TestIntFirstKernel:
+    @given(polyline_coords(), polyline_coords(), COORD, COORD)
+    @settings(max_examples=200, deadline=None)
+    def test_int_and_fraction_coordinates_agree(self, ca, cb, lo, hi):
+        lo, hi = min(lo, hi), max(lo, hi) + 1
+        whole = lambda v: Fraction(v, 1)
+        third = lambda v: Fraction(v, 3)
+        a, b = poly_of(ca, id="a"), poly_of(cb, id="b")
+        af, bf = poly_of(ca, whole, "a"), poly_of(cb, whole, "b")
+        a3, b3 = poly_of(ca, third, "a"), poly_of(cb, third, "b")
+
+        pts = intersections_or_overlap(a, b)
+        assert intersections_or_overlap(af, bf) == pts
+        expect3 = pts if pts == "overlap" else [P(third(p.x), third(p.y)) for p in pts]
+        assert intersections_or_overlap(a3, b3) == expect3
+
+        disjoint = polylines_disjoint(a, b)
+        assert polylines_disjoint(af, bf) == disjoint
+        assert polylines_disjoint(a3, b3) == disjoint
+        touch = any(segments_touch_oracle(sa, sb, 12)
+                    for sa in zip(ca, ca[1:]) for sb in zip(cb, cb[1:]))
+        assert disjoint == (not touch)
+
+        meets = polyline_meets_vstrip(a, lo, hi)
+        assert polyline_meets_vstrip(af, whole(lo), whole(hi)) == meets
+        assert polyline_meets_vstrip(a3, third(lo), third(hi)) == meets
+
+    @given(polyline_coords(), polyline_coords(), st.integers(-5, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_integral_derived_points_are_ints(self, ca, cb, shift):
+        a = poly_of([(x, y + shift) for x, y in ca], id="a")
+        b = poly_of(cb, id="b")
+        pts = intersections_or_overlap(a, b)
+        derived = [] if pts == "overlap" else list(pts)
+        try:
+            crossings = baseline_crossings_along(a)
+        except (GeometryError, ContractError):
+            crossings = []
+        derived.extend(p for p, _ in crossings)
+        derived.extend(refine_at_crossings(a).points if crossings else ())
+        for _, pos in crossings:
+            if pos > (0, Fraction(0)):
+                derived.extend(subcurve(a, (0, Fraction(0)), pos).points)
+        for p in derived:
+            for v in p:
+                assert type(v) is int or v.denominator != 1
+
+    @given(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70))
+    @settings(max_examples=100, deadline=None)
+    def test_whole_fraction_point_is_the_int_point(self, x, y):
+        p = P(Fraction(x, 1), Fraction(2 * y, 2))
+        assert p == P(x, y) and hash(p) == hash(P(x, y))
+        assert type(p.x) is int and type(p.y) is int
+        assert P(Fraction(5, 1), 0) == P(5, 0) and hash(P(Fraction(5, 1), 0)) == hash(P(5, 0))
+        half = P(Fraction(2 * x + 1, 2), y)
+        assert type(half.x) is Fraction

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvefam.errors import ContractError, SolverBudgetExceeded
+from curvefam import graphcore
+from curvefam.errors import (
+    CertificateError,
+    ContractError,
+    ImproperColoring,
+    SolverBudgetExceeded,
+)
 from curvefam.graphcore import (
     Budget,
     Coloring,
@@ -134,6 +140,16 @@ class TestChromatic:
         assert chi == 5
         ok, _ = is_proper(g, w)
         assert ok
+
+
+    @pytest.mark.parametrize("witness, error", [
+        (Coloring((0, 0, 0, 0, 0)), ImproperColoring),
+        (Coloring((0, 1, 0, 1, 2)), CertificateError),   # proper, but 3 colors for c = 2
+    ])
+    def test_bad_decision_witness_rejected(self, monkeypatch, witness, error):
+        monkeypatch.setattr(graphcore, "chromatic_decision", lambda g, c, budget: witness)
+        with pytest.raises(error):
+            chromatic_number(C(5))
 
 
 class TestGreedyAndProper:

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from curvefam import reductions
 from curvefam.errors import (
     BelowBaselineIntersectionError,
+    CertificateError,
     ContractError,
     ImproperCellColoring,
     IntervalCrossingError,
@@ -310,6 +312,17 @@ class TestMcGuinness:
         assert res.parity == "even"
         assert res.chi_h == 2
         assert res.edge_between_chi == {(0, 4): 3}
+
+    def test_uncolorable_block_rejected(self, monkeypatch):
+        # force the exact fallback for every block and make it fail
+        decide = reductions.chromatic_decision
+        monkeypatch.setattr(reductions, "greedy_coloring",
+                            lambda g, order: Coloring(tuple(range(2, 2 + g.n))))
+        monkeypatch.setattr(reductions, "chromatic_decision",
+                            lambda g, c, budget: None if c == 2 else decide(g, c, budget))
+        g = graph_from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+        with pytest.raises(CertificateError):
+            mcguinness_subgraph(g, list(range(5)), alpha=1, beta=1)
 
     def test_precondition_checked(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
