@@ -10,7 +10,7 @@ plus two new probes for every probe of every inner copy.
 
 Geometry is laid out in exact dyadic rationals inside a unit box and scaled
 to integers at the end; every incidence claimed by the construction is also
-asserted during generation.
+checked during generation (CertificateError otherwise).
 """
 
 from __future__ import annotations
@@ -19,15 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import ContractError, ImproperColoring, ScaleOverflow
+from .errors import CertificateError, ContractError, ImproperColoring, ScaleOverflow
 from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline, polyline_meets_vstrip, polylines_disjoint
 from .graphcore import Coloring, IntersectionGraph, build_graph, find_triangle, is_proper
-
-#: Hard implementation cap on the recursion depth.
-MAX_LEVEL = 6
-#: Levels above this refuse without an explicit override.
-DEFAULT_LEVEL_CAP = 5
-
 
 def expected_sizes(k: int):
     """(member count, probe count) for level k, from the union recurrences."""
@@ -39,7 +33,8 @@ def expected_sizes(k: int):
 
 @dataclass(frozen=True)
 class Probe:
-    """A vertical strip of the upper half-plane over [x_lo, x_hi]."""
+    """A vertical strip of the upper half-plane over [x_lo, x_hi]; the
+    generator lays strips out with Fraction ends before scaling to ints."""
 
     x_lo: int
     x_hi: int
@@ -116,12 +111,7 @@ class BurlingNode:
     def probes(self) -> tuple:
         if self.level == 1:
             return (self.probe,)
-        out = []
-        for row in self.gadgets:
-            for g in row:
-                out.append(g.a)
-                out.append(g.b)
-        return tuple(out)
+        return tuple(s for row in self.gadgets for g in row for s in (g.a, g.b))
 
     def member_ids(self) -> list:
         if self.level == 1:
@@ -174,107 +164,111 @@ class _RMember:
 @dataclass(frozen=True)
 class _RInst:
     members: tuple
-    probes: tuple   # (lo, hi) fractions, canonical order
-    tree: tuple     # nested tuples mirroring BurlingNode with fraction strips
+    tree: BurlingNode   # probe ends are Fractions until the final scaling
 
 
-def _rnode1(member_id, probe):
-    return ("leaf", member_id, probe)
+def _map_node(node: BurlingNode, prefix: str, f) -> BurlingNode:
+    """The node with every member id prefixed and every probe end x -> f(x)."""
+    def probe(p):
+        return Probe(f(p.x_lo), f(p.x_hi))
 
-
-def _rnode(outer, inner, gadgets):
-    return ("node", outer, tuple(inner), tuple(tuple(row) for row in gadgets))
-
-
-def _remap_tree(tree, prefix, fx, fy):
-    """Prefix member ids and apply the affine strip transform x -> fx(x)."""
-    if tree[0] == "leaf":
-        _, mid, (lo, hi) = tree
-        return ("leaf", prefix + mid, (fx(lo), fx(hi)))
-    _, outer, inner, gadgets = tree
-    new_gadgets = []
-    for row in gadgets:
-        new_row = []
-        for (xid, (alo, ahi), (blo, bhi)) in row:
-            new_row.append((prefix + xid, (fx(alo), fx(ahi)), (fx(blo), fx(bhi))))
-        new_gadgets.append(tuple(new_row))
-    return ("node",
-            _remap_tree(outer, prefix, fx, fy),
-            tuple(_remap_tree(ch, prefix, fx, fy) for ch in inner),
-            tuple(new_gadgets))
+    if node.level == 1:
+        return BurlingNode(level=1, member_id=prefix + node.member_id,
+                           probe=probe(node.probe))
+    return BurlingNode(
+        level=node.level,
+        outer=_map_node(node.outer, prefix, f),
+        inner=tuple(_map_node(ch, prefix, f) for ch in node.inner),
+        gadgets=tuple(tuple(Gadget(prefix + g.x_id, probe(g.a), probe(g.b)) for g in row)
+                      for row in node.gadgets))
 
 
 def _base() -> _RInst:
     e = Fraction(1, 8)
     m = _RMember("x", lx=e, ltop=4 * e, rx=3 * e, rh=2 * e, rend=7 * e)
-    probe = (4 * e, 6 * e)
-    return _RInst((m,), (probe,), _rnode1("x", probe))
+    return _RInst((m,), BurlingNode(level=1, member_id="x", probe=Probe(4 * e, 6 * e)))
 
 
 def _crossing_arms(inst: _RInst, lo: Fraction, hi: Fraction) -> list:
-    """Members crossing the strip, with layout-invariant assertions."""
+    """Members crossing the strip, checking the layout invariants."""
     out = []
     for m in inst.members:
-        assert not (lo <= m.lx <= hi), "left part inside a probe strip"
-        assert not (lo <= m.rx <= hi), "stem inside a probe strip"
+        if lo <= m.lx <= hi or lo <= m.rx <= hi:
+            raise CertificateError(f"left part or stem of {m.id!r} inside a probe strip")
         if m.rend < lo or m.rx > hi:
             continue
-        assert m.rx < lo and m.rend > hi, "arm must span the strip fully"
+        if not (m.rx < lo and m.rend > hi):
+            raise CertificateError(f"arm of {m.id!r} must span the strip fully")
         out.append(m)
+    if not out:
+        raise CertificateError("every probe is crossed by at least one member")
     heights = [m.rh for m in out]
-    assert len(set(heights)) == len(heights), "arm heights must be distinct"
+    if len(set(heights)) != len(heights):
+        raise CertificateError("arm heights must be distinct")
     return out
+
+
+def _copy_map(lo: Fraction, hi: Fraction):
+    """x -> x placed in the scaled copy that the step puts inside [lo, hi]."""
+    width = hi - lo
+    x0, sx = lo + width / 8, 3 * width / 8
+    return lambda x: x0 + x * sx
+
+
+def _scale_bound(probes) -> int:
+    """A lower bound on the scale of the next level.
+
+    It is the denominator of the left end of one of that level's gadget
+    a-strips: the one for the copy of the probe whose width has the largest
+    denominator, inside that same probe."""
+    q = max(probes, key=lambda p: (p.x_hi - p.x_lo).denominator)
+    fx = _copy_map(q.x_lo, q.x_hi)
+    c, d = fx(q.x_lo), fx(q.x_hi)
+    return (c + (d - c) / 4).denominator
 
 
 def _step(inst: _RInst) -> _RInst:
     members = [_RMember("o." + m.id, m.lx, m.ltop, m.rx, m.rh, m.rend)
                for m in inst.members]
-    outer_tree = _remap_tree(inst.tree, "o.", lambda x: x, lambda y: y)
-    p = len(inst.probes)
+    probes = inst.tree.probes
+    p = len(probes)
     inner_nodes = []
     gadget_rows = []
-    probes = []
 
-    for i, (lo, hi) in enumerate(inst.probes):
+    for i, (lo, hi) in enumerate(q.as_pair() for q in probes):
         width = hi - lo
-        arms = _crossing_arms(inst, lo, hi)
-        assert arms, "every probe is crossed by at least one member"
-        h = min(m.rh for m in arms)
+        h = min(m.rh for m in _crossing_arms(inst, lo, hi))
 
         # scaled copy of the whole instance inside the strip, below the arms
-        x0 = lo + width / 8
-        sx = 3 * width / 8
+        fx = _copy_map(lo, hi)
         sy = h / 2
-        fx = lambda x, x0=x0, sx=sx: x0 + x * sx
-        fy = lambda y, sy=sy: y * sy
         pre = f"p{i}."
         for m in inst.members:
-            members.append(_RMember(pre + m.id, fx(m.lx), fy(m.ltop),
-                                    fx(m.rx), fy(m.rh), fx(m.rend)))
-        copy_probes = [(fx(a), fx(b)) for (a, b) in inst.probes]
-        inner_nodes.append(_remap_tree(inst.tree, pre, fx, fy))
+            members.append(_RMember(pre + m.id, fx(m.lx), m.ltop * sy,
+                                    fx(m.rx), m.rh * sy, fx(m.rend)))
+        copy = _map_node(inst.tree, pre, fx)
+        inner_nodes.append(copy)
 
         row = []
-        for j, (c, d) in enumerate(copy_probes):
+        for j, (c, d) in enumerate(q.as_pair() for q in copy.probes):
             w = d - c
-            a_strip = (c + w / 4, c + w / 2)
             l_x = c + 3 * w / 4
             l_top = 3 * h / 4
             slot = width / (2 * p)
             s0 = lo + width / 2 + j * slot
             stem = s0 + slot / 8
-            b_strip = (s0 + 3 * slot / 8, s0 + 5 * slot / 8)
             arm_end = s0 + 7 * slot / 8
             arm_h = h / 2 + (j + 1) * h / (4 * p)
             gid = f"g{i}.{j}"
             members.append(_RMember(gid, l_x, l_top, stem, arm_h, arm_end))
-            row.append((gid, a_strip, b_strip))
-            probes.append(a_strip)
-            probes.append(b_strip)
-        gadget_rows.append(row)
+            row.append(Gadget(gid, Probe(c + w / 4, c + w / 2),
+                              Probe(s0 + 3 * slot / 8, s0 + 5 * slot / 8)))
+        gadget_rows.append(tuple(row))
 
-    return _RInst(tuple(members), tuple(probes),
-                  _rnode(outer_tree, inner_nodes, gadget_rows))
+    tree = BurlingNode(level=inst.tree.level + 1,
+                       outer=_map_node(inst.tree, "o.", lambda x: x),
+                       inner=tuple(inner_nodes), gadgets=tuple(gadget_rows))
+    return _RInst(tuple(members), tree)
 
 
 def _power_of_two_lcm(fractions_iter) -> int:
@@ -282,112 +276,78 @@ def _power_of_two_lcm(fractions_iter) -> int:
     for f in fractions_iter:
         d = Fraction(f).denominator
         if d & (d - 1):
-            raise AssertionError(f"non-dyadic coordinate denominator {d}")
+            raise CertificateError(f"non-dyadic coordinate denominator {d}")
         scale = max(scale, d)
     return scale
 
 
-def _tree_fractions(tree):
-    if tree[0] == "leaf":
-        yield from tree[2]
-        return
-    _, outer, inner, gadgets = tree
-    yield from _tree_fractions(outer)
-    for ch in inner:
-        yield from _tree_fractions(ch)
-    for row in gadgets:
-        for (_, a, b) in row:
-            yield from a
-            yield from b
-
-
-def _freeze_tree(tree, scale: int) -> BurlingNode:
-    if tree[0] == "leaf":
-        _, mid, (lo, hi) = tree
-        return BurlingNode(level=1, member_id=mid,
-                           probe=Probe(int(lo * scale), int(hi * scale)))
-    _, outer, inner, gadgets = tree
-    fouter = _freeze_tree(outer, scale)
-    finner = tuple(_freeze_tree(ch, scale) for ch in inner)
-    frows = []
-    for row in gadgets:
-        frows.append(tuple(
-            Gadget(xid,
-                   Probe(int(a[0] * scale), int(a[1] * scale)),
-                   Probe(int(b[0] * scale), int(b[1] * scale)))
-            for (xid, a, b) in row))
-    return BurlingNode(level=fouter.level + 1, outer=fouter,
-                       inner=finner, gadgets=tuple(frows))
-
-
-def generate(k: int, allow_beyond_cap: bool = False) -> BurlingInstance:
+def generate(k: int) -> BurlingInstance:
     """Generate the level-k instance with exact integer coordinates.
 
-    Levels beyond 5 refuse unless allow_beyond_cap is set; 6 is a hard cap.
-    Raises ScaleOverflow when the requested level cannot be realized within
-    the 2**62 coordinate contract (the strips shrink doubly exponentially,
-    which in this realization overflows at k = 5).
+    Raises ScaleOverflow when the level cannot be realized within the 2**62
+    coordinate contract: the strips shrink doubly exponentially, which in
+    this realization overflows at k = 5. A lower bound on each next scale
+    makes an unrealizable level fail before any of its members is built.
     """
-    if not 1 <= k <= MAX_LEVEL:
-        raise ContractError(f"k must be between 1 and {MAX_LEVEL}")
-    if k > DEFAULT_LEVEL_CAP and not allow_beyond_cap:
-        raise ContractError(
-            f"k = {k} exceeds the default cap {DEFAULT_LEVEL_CAP}; "
-            "pass allow_beyond_cap=True to try anyway")
+    if k < 1:
+        raise ContractError("k must be at least 1")
 
     inst = _base()
     for _ in range(k - 1):
+        bound = _scale_bound(inst.tree.probes)
+        if bound > MAX_COORD_MAGNITUDE:
+            raise ScaleOverflow(
+                f"level {k} needs scale at least 2**{bound.bit_length() - 1}, "
+                "beyond the 2**62 coordinate contract")
         inst = _step(inst)
 
-    coords = []
-    for m in inst.members:
-        coords.extend((m.lx, m.ltop, m.rx, m.rh, m.rend))
-    for lo, hi in inst.probes:
-        coords.extend((lo, hi))
-    coords.extend(_tree_fractions(inst.tree))
-    scale = _power_of_two_lcm(coords)
+    scale = _power_of_two_lcm(
+        [x for m in inst.members for x in (m.lx, m.ltop, m.rx, m.rh, m.rend)]
+        + [x for q in inst.tree.probes for x in q.as_pair()])
     if scale > MAX_COORD_MAGNITUDE:
         raise ScaleOverflow(
             f"level {k} needs scale 2**{scale.bit_length() - 1}, beyond the "
             f"2**62 coordinate contract")
 
+    def to_int(x: Fraction) -> int:
+        v = x * scale
+        if v.denominator != 1:
+            raise CertificateError(f"coordinate {x} is not integral at scale {scale}")
+        return v.numerator
+
     members = []
     for m in inst.members:
-        lx, ltop = int(m.lx * scale), int(m.ltop * scale)
-        rx, rh, rend = int(m.rx * scale), int(m.rh * scale), int(m.rend * scale)
+        lx, ltop, rx, rh, rend = map(to_int, (m.lx, m.ltop, m.rx, m.rh, m.rend))
         left = Polyline((Point(lx, 0), Point(lx, ltop)), f"{m.id}.L")
         right = Polyline((Point(rx, 0), Point(rx, rh), Point(rend, rh)), f"{m.id}.R")
         members.append(DoubleCurve(m.id, left, right))
-    probes = tuple(Probe(int(lo * scale), int(hi * scale)) for lo, hi in inst.probes)
-    tree = _freeze_tree(inst.tree, scale)
+    tree = _map_node(inst.tree, "", to_int)
 
     n_exp, p_exp = expected_sizes(k)
+    probes = tree.probes
     if (len(members), len(probes)) != (n_exp, p_exp):
-        raise AssertionError(
+        raise CertificateError(
             f"size mismatch: got ({len(members)}, {len(probes)}), "
             f"expected ({n_exp}, {p_exp})")
     xs = [x for m in members for x in m.basepoint_xs()]
     if len(set(xs)) != len(xs):
-        raise AssertionError("basepoints are not pairwise distinct")
+        raise CertificateError("basepoints are not pairwise distinct")
     return BurlingInstance(k, tuple(members), probes, scale, tree)
 
 
 def crossing_set(inst: BurlingInstance, probe: Probe) -> list:
     """Ids of the double-curves whose point set meets the closed strip."""
-    return _crossing_ids(inst, inst.members, probe, cache_key="all")
+    return _crossing_ids(inst, inst.members, probe, "all")
 
 
-def _crossing_ids(inst: BurlingInstance, members, probe: Probe, cache_key=None) -> list:
-    key = None
-    if cache_key is not None:
-        key = ("crossing", cache_key, probe.as_pair())
-        cached = inst._cache.get(key)
-        if cached is not None:
-            return cached
-    out = [m.id for m in members
-           if polyline_meets_vstrip(m.left, probe.x_lo, probe.x_hi)
-           or polyline_meets_vstrip(m.right, probe.x_lo, probe.x_hi)]
-    if key is not None:
+def _crossing_ids(inst: BurlingInstance, members, probe: Probe, cache_key) -> list:
+    """crossing_set restricted to members, cached under (cache_key, strip)."""
+    key = ("crossing", cache_key, probe.as_pair())
+    out = inst._cache.get(key)
+    if out is None:
+        out = [m.id for m in members
+               if polyline_meets_vstrip(m.left, probe.x_lo, probe.x_hi)
+               or polyline_meets_vstrip(m.right, probe.x_lo, probe.x_hi)]
         inst._cache[key] = out
     return out
 
@@ -450,22 +410,21 @@ def verify_properties(inst: BurlingInstance) -> BurlingReport:
         "probes-avoid-left-parts", not bad,
         "all probes disjoint from every L(X)" if not bad else f"violations: {bad[:5]}"))
 
+    g = inst.graph()
+    vertex = {mid: v for v, mid in enumerate(g.labels)}
     bad = []
     for pi, probe in enumerate(inst.probes):
         ids = crossing_set(inst, probe)
         for a in range(len(ids)):
+            row = g.adj[vertex[ids[a]]]
             for b in range(a + 1, len(ids)):
-                m1, m2 = inst.by_id(ids[a]), inst.by_id(ids[b])
-                disjoint = all(polylines_disjoint(x, y)
-                               for x in m1.polylines() for y in m2.polylines())
-                if not disjoint:
+                if (row >> vertex[ids[b]]) & 1:
                     bad.append((pi, ids[a], ids[b]))
     checks.append(CheckResult(
         "crossing-sets-pairwise-disjoint", not bad,
         "members crossing each probe are pairwise disjoint" if not bad
         else f"violations: {bad[:5]}"))
 
-    g = inst.graph()
     tri = find_triangle(g)
     omega = 2 if g.m else (1 if g.n else 0)
     checks.append(CheckResult(
@@ -516,18 +475,14 @@ def audit_coloring(inst: BurlingInstance, coloring: Mapping[str, int]) -> AuditR
         return got
 
     def colors_on(node: BurlingNode, probe: Probe) -> frozenset:
-        ids = _crossing_ids(inst, members_of(node), probe, cache_key=id(node))
+        ids = _crossing_ids(inst, members_of(node), probe, id(node))
         return frozenset(coloring[mid] for mid in ids)
 
     def descend(node: BurlingNode):
         if node.level == 1:
             return 0, colors_on(node, node.probe)
-        i, _ = descend(node.outer)
-        probe_p = node.outer.probes[i]
-        colors_p = colors_on(node.outer, probe_p)
-        j, _ = descend(node.inner[i])
-        probe_q = node.inner[i].probes[j]
-        colors_q = colors_on(node.inner[i], probe_q)
+        i, colors_p = descend(node.outer)
+        j, colors_q = descend(node.inner[i])
 
         gadget = node.gadgets[i][j]
         if colors_p != colors_q:
@@ -535,17 +490,17 @@ def audit_coloring(inst: BurlingInstance, coloring: Mapping[str, int]) -> AuditR
         else:
             x_color = coloring[gadget.x_id]
             if x_color in colors_p:
-                raise AssertionError(
+                raise CertificateError(
                     "new double-curve shares a color with the set it crosses")
             picked = gadget.b
         idx = node.probes.index(picked)
         colors = colors_on(node, picked)
         if len(colors) < node.level:
-            raise AssertionError(
+            raise CertificateError(
                 f"audit invariant broken: {len(colors)} colors at level {node.level}")
         return idx, colors
 
     idx, colors = descend(inst.tree)
     if len(colors) < inst.k:
-        raise AssertionError("audit returned fewer colors than the level")
+        raise CertificateError("audit returned fewer colors than the level")
     return AuditResult(inst.probes[idx], idx, colors)

@@ -100,7 +100,7 @@ def _coloring_doc(colors: dict) -> str:
 
 
 def _cmd_gen_burling(cfg: RunConfig) -> int:
-    inst = burling.generate(cfg.args.k, allow_beyond_cap=cfg.args.allow_beyond_cap)
+    inst = burling.generate(cfg.args.k)
     familyfile.save(inst, cfg.args.out)
     if cfg.args.svg:
         _write(cfg.args.svg, svgrender.render_family(inst))
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--svg")
-    g.add_argument("--allow-beyond-cap", action="store_true")
 
     v = sub.add_parser("verify-family", help="validate a family file")
     v.add_argument("file")

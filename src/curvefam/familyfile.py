@@ -63,7 +63,10 @@ def _typed(v, typ, what: str):
 def _probe_from_json(row, what: str) -> Probe:
     if not isinstance(row, list) or len(row) != 2:
         raise FileFormatError(f"{what} must be [x_lo, x_hi], got {row!r:.60}")
-    return Probe(_check_int(row[0], what), _check_int(row[1], what))
+    lo, hi = _check_int(row[0], what), _check_int(row[1], what)
+    if lo >= hi:
+        raise FileFormatError(f"{what} [{lo}, {hi}] needs x_lo < x_hi")
+    return Probe(lo, hi)
 
 
 def _points_from_json(rows, what: str):

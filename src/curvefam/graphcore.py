@@ -478,6 +478,8 @@ def parse_edge_list(text: str) -> IntersectionGraph:
         edges = [tuple(map(int, r.split())) for r in rows[1:]]
     except ValueError as exc:
         raise FileFormatError(f"bad edge list: {exc}") from None
+    if n < 0:
+        raise FileFormatError(f"vertex count must be nonnegative, got {n}")
     if len(edges) != m:
         raise FileFormatError(f"expected {m} edges, found {len(edges)}")
     for u, v in edges:

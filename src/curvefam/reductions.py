@@ -34,9 +34,9 @@ from .families import (
 )
 from .geometry import Point, Polyline, polylines_disjoint, subcurve
 from .graphcore import (
-    Budget,
     Coloring,
     IntersectionGraph,
+    _as_budget,
     build_graph,
     chromatic_decision,
     chromatic_number,
@@ -45,10 +45,6 @@ from .graphcore import (
     induced_subgraph,
     is_proper,
 )
-
-
-def _as_budget(budget) -> Budget:
-    return budget if isinstance(budget, Budget) else Budget(budget)
 
 
 # Component split and the 4-color cross-component coloring.
@@ -159,7 +155,7 @@ def color_cross_component(split: ComponentSplit, budget=None) -> CrossComponentC
     coloring = {mid: witness.colors[split.comp_of[(mid, "L")]]
                 for mid in split.f_diff}
 
-    members = [fam.by_id(mid) for mid in split.f_diff]
+    members = [m for m in fam.members if m.id in coloring]
     sub = build_graph(members)
     lifted = Coloring(tuple(coloring[m.id] for m in members))
     ok, edge = is_proper(sub, lifted)

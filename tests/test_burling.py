@@ -1,7 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import time
+from fractions import Fraction
 
 import pytest
 
+import curvefam
+from curvefam import burling
 from curvefam.burling import (
     BurlingInstance,
     DoubleCurve,
@@ -12,7 +19,7 @@ from curvefam.burling import (
     generate,
     verify_properties,
 )
-from curvefam.errors import ContractError, ImproperColoring, ScaleOverflow
+from curvefam.errors import CertificateError, ContractError, ImproperColoring, ScaleOverflow
 from curvefam.families import validate_lr
 from curvefam.geometry import Point as P, Polyline, polyline_meets_vstrip
 from curvefam.graphcore import (
@@ -42,15 +49,14 @@ class TestGenerate:
         assert polyline_meets_vstrip(m.right, p.x_lo, p.x_hi)
         assert crossing_set(inst, p) == [m.id]
 
-    def test_k5_overflows_scale_contract(self):
-        with pytest.raises(ScaleOverflow):
-            generate(5)
-
-    def test_cap_and_hard_cap(self):
-        with pytest.raises(ContractError):
-            generate(6)
-        with pytest.raises(ContractError):
-            generate(7, allow_beyond_cap=True)
+    def test_unrealizable_levels_fail_fast(self):
+        # k = 5 needs scale 2**107; the bound before each step must refuse it,
+        # and every higher level, before the next level is built
+        for k in (5, 6, 7):
+            start = time.perf_counter()
+            with pytest.raises(ScaleOverflow, match=r"2\*\*107"):
+                generate(k)
+            assert time.perf_counter() - start < 0.5
         with pytest.raises(ContractError):
             generate(0)
 
@@ -194,6 +200,14 @@ class TestAudit:
             assert len(res.colors) >= k
             assert res.probe in inst.probes
 
+    def test_broken_invariant_raises(self, monkeypatch):
+        # with the properness check patched away, a monochromatic coloring
+        # reaches the audit's own invariant checks, which must raise
+        inst = generate(2)
+        monkeypatch.setattr(burling, "is_proper", lambda g, col: (True, None))
+        with pytest.raises(CertificateError):
+            audit_coloring(inst, {m.id: 0 for m in inst.members})
+
     def test_exact_coloring_audited(self):
         inst = generate(3)
         g = inst.graph()
@@ -232,3 +246,46 @@ class TestLRFamily:
             from curvefam.geometry import polylines_disjoint
 
             assert polylines_disjoint(m.left, m.right)
+
+
+def _layout(*members):
+    """A one-probe layout over the strip [4/8, 6/8] with the given members."""
+    e = Fraction(1, 8)
+    rm = [burling._RMember(f"m{i}", *(v * e for v in coords))
+          for i, coords in enumerate(members)]
+    node = burling.BurlingNode(level=1, member_id="m0", probe=Probe(4 * e, 6 * e))
+    return burling._RInst(tuple(rm), node), 4 * e, 6 * e
+
+
+# member coordinates in eighths: (lx, ltop, rx, rh, rend)
+_CROSSING = (1, 4, 3, 2, 7)
+
+
+class TestCrossingArms:
+    def test_valid_layout(self):
+        inst, lo, hi = _layout(_CROSSING)
+        assert [m.id for m in burling._crossing_arms(inst, lo, hi)] == ["m0"]
+
+    @pytest.mark.parametrize("members", [
+        [(5, 4, 3, 2, 7)],               # left part inside the strip
+        [(1, 4, 4, 2, 7)],               # stem on the strip's edge
+        [_CROSSING, (0, 4, 2, 3, 5)],    # arm ends inside the strip
+        [_CROSSING, (0, 4, 2, 2, 7)],    # two arms at one height
+        [(1, 4, 2, 2, 3)],               # no member crosses the strip
+    ])
+    def test_broken_layout_raises(self, members):
+        inst, lo, hi = _layout(*members)
+        with pytest.raises(CertificateError):
+            burling._crossing_arms(inst, lo, hi)
+
+    def test_broken_layout_raises_under_optimize_flag(self):
+        src = os.path.dirname(os.path.dirname(curvefam.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")) if p))
+        script = ("import test_burling as t\n"
+                  "from curvefam import burling\n"
+                  "burling._crossing_arms(*t._layout((5, 4, 3, 2, 7)))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "CertificateError: left part or stem of 'm0'" in proc.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -109,8 +110,13 @@ def _level_skips_outer(doc):
     doc["burling"]["tree"]["level"] = 3
 
 
+def _zero_width_probe(doc):
+    doc["probes"][0] = [5, 5]
+
+
 @pytest.mark.parametrize("mutate", [_drop_outer, _short_gadget_probe, _curves_not_a_list,
-                                    _level_not_an_int, _level_skips_outer])
+                                    _level_not_an_int, _level_skips_outer,
+                                    _zero_width_probe])
 def test_malformed_double_curve_file(tmp_path, capsys, mutate):
     doc = familyfile.burling_to_jsonable(generate(2))
     mutate(doc)
@@ -193,6 +199,26 @@ class TestCli:
         assert main(["audit-burling", fam_path, "--coloring", col_path]) == 0
         assert main(["audit-burling", fam_path, "--greedy-seed", "11"]) == 0
 
+    @pytest.mark.parametrize("k, digest", [
+        (1, "36b0166c224b6b7acaa6b33a77ab5efa6998981252db892526c36468f8aaaaaf"),
+        (2, "a59c66c4f20675b6770c1faf313bcac2a010df84ab37a67f57e66310621a7bcb"),
+        (3, "827901bbe4805a0d4409b0fe384cd758c1a6eecfc9d46e0266d89116d9e6035d"),
+        (4, "5a00d50871ca4766259dee979bb5f28eb1b06338f925c4c568285316951d2204"),
+    ])
+    def test_gen_golden_bytes(self, tmp_path, k, digest):
+        path = tmp_path / f"x{k}.json"
+        assert main(["gen-burling", "--k", str(k), "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_gen_unrealizable_level(self, tmp_path, capsys):
+        assert main(["gen-burling", "--k", "5", "--out", str(tmp_path / "x5.json")]) == 2
+        assert "ScaleOverflow" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-burling", "--k", "5", "--out", str(tmp_path / "x5.json"),
+                  "--allow-beyond-cap"])
+        assert exc.value.code == 2
+        assert "--allow-beyond-cap" in capsys.readouterr().err
+
     def test_gen_deterministic_bytes(self, tmp_path):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         main(["gen-burling", "--k", "2", "--out", p1])
@@ -234,6 +260,12 @@ class TestCli:
         monkeypatch.setenv("CURVEFAM_NODE_BUDGET", "abc")
         assert main(["color", "--exact", "--graph", str(path)]) == 2
         assert "ContractError" in capsys.readouterr().err
+
+    def test_negative_vertex_count(self, tmp_path, capsys):
+        path = tmp_path / "neg.txt"
+        path.write_text("-1 0\n")
+        assert main(["color", "--exact", "--graph", str(path)]) == 4
+        assert "FileFormatError" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         assert main(["verify-family", str(tmp_path / "missing.json")]) == 4
