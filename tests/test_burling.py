@@ -49,10 +49,18 @@ class TestGenerate:
         assert polyline_meets_vstrip(m.right, p.x_lo, p.x_hi)
         assert crossing_set(inst, p) == [m.id]
 
-    def test_unrealizable_levels_fail_fast(self):
-        # k = 5 needs scale 2**107; the bound before each step must refuse it,
-        # and every higher level, before the next level is built
-        for k in (5, 6, 7):
+    def test_k5_overflows_scale_contract(self):
+        # k = 5 needs scale 2**107; the bound before the step must refuse it
+        # before the level is built
+        start = time.perf_counter()
+        with pytest.raises(ScaleOverflow, match=r"2\*\*107"):
+            generate(5)
+        assert time.perf_counter() - start < 0.5
+
+    def test_cap_and_hard_cap(self):
+        # there is no level cap: every k >= 6 fails fast on the same scale
+        # bound as k = 5, and k < 1 is a contract error
+        for k in (6, 7):
             start = time.perf_counter()
             with pytest.raises(ScaleOverflow, match=r"2\*\*107"):
                 generate(k)
