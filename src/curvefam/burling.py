@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import CertificateError, ContractError, ImproperColoring, ScaleOverflow
 from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline, polyline_meets_vstrip, polylines_disjoint
-from .graphcore import Coloring, IntersectionGraph, build_graph, find_triangle, is_proper
+from .families import pair_points, validate_lr
+from .graphcore import Coloring, IntersectionGraph, find_triangle, graph_from_edges, is_proper
 
 def expected_sizes(k: int):
     """(member count, probe count) for level k, from the union recurrences."""
@@ -141,12 +143,14 @@ class BurlingInstance:
             self._cache["by_id"] = table
         return table[mid]
 
+    @cached_property
+    def pairs(self) -> dict:
+        """The instance's pair map, computed on first use; see pair_points."""
+        return pair_points(self.members)
+
     def graph(self) -> IntersectionGraph:
-        g = self._cache.get("graph")
-        if g is None:
-            g = build_graph(self.members)
-            self._cache["graph"] = g
-        return g
+        return graph_from_edges(len(self.members), self.pairs,
+                                tuple(m.id for m in self.members))
 
 
 # Construction-time rational layout.
@@ -380,8 +384,6 @@ def verify_properties(inst: BurlingInstance) -> BurlingReport:
     validation of the whole instance. Failures become report entries, never
     exceptions.
     """
-    from .families import validate_lr
-
     checks = []
     n_exp, p_exp = expected_sizes(inst.k)
     ok = (len(inst.members), len(inst.probes)) == (n_exp, p_exp)
@@ -432,7 +434,7 @@ def verify_properties(inst: BurlingInstance) -> BurlingReport:
         f"no triangle among {g.n} vertices, omega={omega}" if tri is None
         else f"triangle {tuple(g.labels[v] for v in tri)}"))
 
-    lr = validate_lr(inst.members)
+    lr = validate_lr(inst)
     checks.append(CheckResult(
         "lr-family", lr.ok,
         f"{lr.checked_pairs} pairs checked" if lr.ok

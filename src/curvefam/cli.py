@@ -31,7 +31,6 @@ from .families import CurveFamily, FamilyKind, validate_lr
 from .graphcore import (
     Budget,
     Coloring,
-    build_graph,
     chromatic_number,
     clique_number,
     greedy_coloring,
@@ -47,9 +46,8 @@ EXIT_IO = 4
 
 @dataclass
 class RunConfig:
-    """Resolved invocation: subcommand, paths, budgets, seed."""
+    """Resolved invocation: budgets, seed and the parsed arguments."""
 
-    subcommand: str
     node_budget: Optional[int]
     time_budget_ms: Optional[int]
     seed: Optional[int]
@@ -69,9 +67,7 @@ def _write(path: Optional[str], text: str) -> None:
 
 def _load_graph(cfg: RunConfig):
     if getattr(cfg.args, "family", None):
-        obj = familyfile.load(cfg.args.family)
-        members = obj.members
-        return build_graph(members)
+        return familyfile.load(cfg.args.family).graph()
     with open(cfg.args.graph, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
 
@@ -216,7 +212,7 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         fam = familyfile.load(cfg.args.family)
         out = reductions.rewire_semicircles(fam)
         familyfile.save(out, cfg.args.out)
-        before, after = build_graph(fam.members), build_graph(out.members)
+        before, after = fam.graph(), out.graph()
         preserved = (before.labels == after.labels and before.adj == after.adj)
         if cfg.args.trace:
             _write(cfg.args.trace, familyfile.dump_json({
@@ -247,7 +243,7 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         fam = _require_two_t(familyfile.load(cfg.args.family))
         budget = cfg.budget()
         coloring = reductions.two_t_product_coloring(fam, budget=budget)
-        g = build_graph(fam.members)
+        g = fam.graph()
         _check_proper(g, Coloring(tuple(coloring[m.id] for m in fam.members)))
         _write(cfg.args.out, _coloring_doc(coloring))
         return EXIT_OK
@@ -356,7 +352,6 @@ def main(argv=None) -> int:
     if getattr(args, "greedy_seed", None) is not None:
         seed = args.greedy_seed
     cfg = RunConfig(
-        subcommand=args.command,
         node_budget=args.node_budget,
         time_budget_ms=args.time_budget_ms,
         seed=seed,

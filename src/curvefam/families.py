@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Optional
 
 from .errors import (
     ContractError,
@@ -29,6 +30,7 @@ from .geometry import (
     segments_intersect,
     validate_simple,
 )
+from .graphcore import chromatic_number, graph_from_edges, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -174,11 +176,14 @@ class CurveFamily:
     def ids(self) -> list:
         return [m.id for m in self.members]
 
-    def by_id(self, id: str) -> EvenCurve:
-        for m in self.members:
-            if m.id == id:
-                return m
-        raise KeyError(id)
+    @cached_property
+    def pairs(self) -> dict:
+        """The family's pair map, computed on first use; see pair_points."""
+        return pair_points(self.members)
+
+    def graph(self):
+        """Intersection graph of the members, read off the pair map."""
+        return graph_from_edges(len(self.members), self.pairs, tuple(self.ids()))
 
 
 def _validate_kind(fam: CurveFamily) -> None:
@@ -246,43 +251,56 @@ def member_intersections(m1, m2) -> list:
     return sorted(pts, key=lambda p: (p.x, p.y))
 
 
+def pair_points(members) -> dict:
+    """{(i, j): member_intersections(members[i], members[j])} over the pairs
+    i < j that meet, in sorted order; the one all-pairs pass of a family.
+
+    Candidates come from a sweep over closed x-extents (Shamos and Hoey
+    1976): pairs whose extents are disjoint cannot meet. Testing them in
+    sorted order makes an OverlapError name the first overlapping pair.
+    """
+    ms = list(members)
+    extents = []
+    for i, m in enumerate(ms):
+        boxes = [poly.bbox for poly in m.polylines()]
+        extents.append((min(b[0] for b in boxes), max(b[2] for b in boxes), i))
+    active, candidates = [], []
+    for lo, hi, i in sorted(extents):
+        active = [(end, j) for end, j in active if end >= lo]
+        candidates.extend((min(i, j), max(i, j)) for _, j in active)
+        active.append((hi, i))
+    out = {}
+    for i, j in sorted(candidates):
+        pts = member_intersections(ms[i], ms[j])
+        if pts:
+            out[(i, j)] = pts
+    return out
+
+
 def validate_lr(members) -> LRResult:
     """Check that every pairwise intersection is a left-right incidence.
 
-    Accepts any sequence of members exposing parts()/polylines() (even-curves
-    or double-curves). Returns a certificate (ok=True) or the full list of
-    violating (pair, point, parts) witnesses.
+    Accepts a family (whose pair map is read) or any sequence of members
+    exposing parts()/polylines() (even-curves or double-curves). Returns a
+    certificate (ok=True) or the full list of violating (pair, point, parts)
+    witnesses. Pairs missing from the map are certified disjoint.
     """
-    if isinstance(members, CurveFamily):
-        members = members.members
+    ms = list(getattr(members, "members", members))
+    pairs = members.pairs if hasattr(members, "pairs") else pair_points(ms)
     violations = []
-    checked = 0
-    ms = list(members)
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            m1, m2 = ms[i], ms[j]
-            checked += 1
-            for p in member_intersections(m1, m2):
-                on1 = _parts_at(m1, p)
-                on2 = _parts_at(m2, p)
-                if ("L" in on1 and "R" in on2) or ("L" in on2 and "R" in on1):
-                    continue
-                violations.append(LRViolation(
-                    m1.id, m2.id, p,
-                    on1[0] if on1 else "?", on2[0] if on2 else "?"))
-    return LRResult(ok=not violations, checked_pairs=checked,
+    for (i, j), pts in pairs.items():
+        m1, m2 = ms[i], ms[j]
+        for p in pts:
+            on1 = _parts_at(m1, p)
+            on2 = _parts_at(m2, p)
+            if ("L" in on1 and "R" in on2) or ("L" in on2 and "R" in on1):
+                continue
+            violations.append(LRViolation(
+                m1.id, m2.id, p,
+                on1[0] if on1 else "?", on2[0] if on2 else "?"))
+    n = len(ms)
+    return LRResult(ok=not violations, checked_pairs=n * (n - 1) // 2,
                     violations=tuple(violations))
-
-
-def as_lr_family(members: Iterable[EvenCurve], two_curves: bool = False) -> CurveFamily:
-    """Build a certified LR family, raising on any violation."""
-    members = tuple(members)
-    res = validate_lr(members)
-    if not res.ok:
-        raise FamilyValidationError(
-            "not an LR family: " + "; ".join(res.report_lines()[:3]))
-    kind = FamilyKind.LR2 if two_curves else FamilyKind.LR
-    return CurveFamily(members, kind)
 
 
 def subfamily_between(fam: CurveFamily, x, y) -> CurveFamily:
@@ -324,9 +342,7 @@ def xi_of_family(fam: CurveFamily, budget=None) -> int:
     remaining members intersecting it; the result is the maximum over
     members. 0 for pairwise disjoint families.
     """
-    from .graphcore import build_graph, chromatic_number, induced_subgraph
-
-    g = build_graph(fam.members)
+    g = fam.graph()
     best = 0
     for v in range(g.n):
         nbrs = [u for u in range(g.n) if g.has_edge(u, v)]

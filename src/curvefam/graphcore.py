@@ -111,28 +111,12 @@ def graph_from_edges(n: int, edges: Iterable, labels=None) -> IntersectionGraph:
 
 
 def build_graph(members) -> IntersectionGraph:
-    """Intersection graph of a curve family.
-
-    Members must expose .id and .polylines(); an edge joins two members iff
-    some pair of their polylines intersects.
-    """
-    from .geometry import segments_intersect
+    """Intersection graph of members exposing .id and .polylines(), read off
+    their pair map (families.pair_points)."""
+    from .families import pair_points
 
     ms = list(members)
-    edges = []
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            hit = False
-            for a in ms[i].polylines():
-                for b in ms[j].polylines():
-                    if segments_intersect(a, b):
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                edges.append((i, j))
-    return graph_from_edges(len(ms), edges, tuple(m.id for m in ms))
+    return graph_from_edges(len(ms), pair_points(ms), tuple(m.id for m in ms))
 
 
 def induced_subgraph(G: IntersectionGraph, vertices: Sequence[int]):
@@ -473,9 +457,12 @@ def parse_edge_list(text: str) -> IntersectionGraph:
             if ln and not ln.startswith("#")]
     if not rows:
         raise FileFormatError("empty edge list")
+    edges = []
     try:
         n, m = map(int, rows[0].split())
-        edges = [tuple(map(int, r.split())) for r in rows[1:]]
+        for r in rows[1:]:
+            u, v = map(int, r.split())
+            edges.append((u, v))
     except ValueError as exc:
         raise FileFormatError(f"bad edge list: {exc}") from None
     if n < 0:
@@ -485,4 +472,6 @@ def parse_edge_list(text: str) -> IntersectionGraph:
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise FileFormatError(f"edge ({u},{v}) out of range")
+        if u == v:
+            raise FileFormatError(f"self-loop ({u},{v})")
     return graph_from_edges(n, edges)

@@ -25,19 +25,17 @@ from .errors import (
 )
 from .families import (
     CurveFamily,
-    EvenCurve,
     FamilyKind,
+    _parts_at,
     decompose_even_curve,
     make_one_curve,
-    member_intersections,
     validate_lr,
 )
-from .geometry import Point, Polyline, polylines_disjoint, subcurve
+from .geometry import Point, Polyline, on_segment, polylines_disjoint, subcurve
 from .graphcore import (
     Coloring,
     IntersectionGraph,
     _as_budget,
-    build_graph,
     chromatic_decision,
     chromatic_number,
     graph_from_edges,
@@ -87,26 +85,31 @@ def component_split(fam: CurveFamily) -> ComponentSplit:
     Since each 1-curve is connected, two of them share a component exactly
     when a chain of pairwise intersections links them; union-find over the
     intersecting pairs therefore reproduces the components of the union.
+    The pairs are read off the family's pair map: 1-curves 2i and 2i + 1
+    are the left and right of member i.
     """
     if getattr(fam, "kind", None) is FamilyKind.ONE_CURVE:
         raise ContractError("component_split needs even-curves or double-curves")
-    curves = []
+    keys = []
     for m in fam.members:
         if not polylines_disjoint(m.left, m.right):
             raise ContractError(
                 f"member {m.id!r}: left and right 1-curves intersect; "
                 "not a valid LR family member")
-        curves.append(((m.id, "L"), m.left))
-        curves.append(((m.id, "R"), m.right))
-    uf = _UnionFind(len(curves))
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            if curves[i][0][0] == curves[j][0][0]:
-                continue  # same member: L and R are disjoint in an LR family
-            if not polylines_disjoint(curves[i][1], curves[j][1]):
-                uf.union(i, j)
+        keys.extend(((m.id, "L"), (m.id, "R")))
+    side = {"L": 0, "R": 1}
+    meeting = set()
+    for (i, j), pts in fam.pairs.items():
+        for p in pts:
+            for a in _parts_at(fam.members[i], p):
+                for b in _parts_at(fam.members[j], p):
+                    if a in side and b in side:
+                        meeting.add((2 * i + side[a], 2 * j + side[b]))
+    uf = _UnionFind(len(keys))
+    for a, b in sorted(meeting):
+        uf.union(a, b)
     groups: dict = {}
-    for i, (key, _) in enumerate(curves):
+    for i, key in enumerate(keys):
         groups.setdefault(uf.find(i), set()).add(key)
     components = tuple(frozenset(g) for _, g in sorted(groups.items()))
     comp_of = {}
@@ -155,9 +158,9 @@ def color_cross_component(split: ComponentSplit, budget=None) -> CrossComponentC
     coloring = {mid: witness.colors[split.comp_of[(mid, "L")]]
                 for mid in split.f_diff}
 
-    members = [m for m in fam.members if m.id in coloring]
-    sub = build_graph(members)
-    lifted = Coloring(tuple(coloring[m.id] for m in members))
+    sub, _ = induced_subgraph(fam.graph(), [v for v, m in enumerate(fam.members)
+                                            if m.id in coloring])
+    lifted = Coloring(tuple(coloring[mid] for mid in sub.labels))
     ok, edge = is_proper(sub, lifted)
     if not ok:
         raise AuxiliaryNotFourColorable(
@@ -224,40 +227,29 @@ def rewire_semicircles(fam: CurveFamily) -> CurveFamily:
         pts = tuple(m.left.points) + dip + tuple(m.right.points)
         rewired.append(decompose_even_curve(Polyline(pts, m.id)))
 
-    res = validate_lr(rewired)
+    out = CurveFamily(tuple(rewired), FamilyKind.LR2)
+    res = validate_lr(out)
     if not res.ok:
         raise ContractError(
             "rewiring produced a non-LR family; input was not a valid LR family: "
             + str(res.violations[0]))
-    return CurveFamily(tuple(rewired), FamilyKind.LR2)
+    return out
 
 
 # Splitting 2t-curve families.
 
-def _check_no_below_baseline(fam: CurveFamily):
-    ms = fam.members
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            for p in member_intersections(ms[i], ms[j]):
-                if p.y < 0:
-                    raise BelowBaselineIntersectionError(ms[i].id, ms[j].id, p)
-
-
-def _events_on_edge(curve: Polyline, edge: int, others: Sequence[EvenCurve]) -> list:
-    """Parameters in (0, 1) at which other members meet the given edge."""
+def _events_on_edge(curve: Polyline, edge: int, points: Sequence[Point]) -> list:
+    """Parameters in (0, 1) at which the given points lie on the given edge."""
     ts = []
     a, b = curve.points[edge], curve.points[edge + 1]
-    seg = Polyline((a, b))
-    from .geometry import segments_intersect
-    for o in others:
-        for poly in o.polylines():
-            for p in segments_intersect(seg, poly):
-                if b.x != a.x:
-                    t = Fraction(p.x - a.x, b.x - a.x)
-                else:
-                    t = Fraction(p.y - a.y, b.y - a.y)
-                if 0 < t < 1:
-                    ts.append(t)
+    for p in points:
+        if on_segment(p, a, b):
+            if b.x != a.x:
+                t = Fraction(p.x - a.x, b.x - a.x)
+            else:
+                t = Fraction(p.y - a.y, b.y - a.y)
+            if 0 < t < 1:
+                ts.append(t)
     return ts
 
 
@@ -276,11 +268,17 @@ def split_2t(fam: CurveFamily):
     if fam.kind is not FamilyKind.TWO_T or fam.t is None:
         raise ContractError("split_2t needs a TWO_T(t) family")
     t = fam.t
-    _check_no_below_baseline(fam)
+    ms = fam.members
+    meets = [[] for _ in ms]             # points where other members meet member i
+    for (i, j), pts in fam.pairs.items():
+        for p in pts:
+            if p.y < 0:
+                raise BelowBaselineIntersectionError(ms[i].id, ms[j].id, p)
+        meets[i].extend(pts)
+        meets[j].extend(pts)
 
     f1, f2 = [], []
-    for m in fam.members:
-        others = [o for o in fam.members if o.id != m.id]
+    for m, hits in zip(ms, meets):
         pts = m.curve.points
         cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
         if t == 1:
@@ -290,12 +288,12 @@ def split_2t(fam: CurveFamily):
 
         vi = cross_idx[2 * t - 2]          # crossing p_(2t-1)
         edge_in = vi - 1
-        ts = [u for u in _events_on_edge(m.curve, edge_in, others) if u < 1]
+        ts = [u for u in _events_on_edge(m.curve, edge_in, hits) if u < 1]
         cut1 = (edge_in, (max(ts, default=Fraction(0)) + 1) / 2)
         piece1 = subcurve(m.curve, (0, Fraction(0)), cut1, m.id)
 
         vj = cross_idx[1]                  # crossing p_2
-        ts = [u for u in _events_on_edge(m.curve, vj, others) if u > 0]
+        ts = [u for u in _events_on_edge(m.curve, vj, hits) if u > 0]
         cut2 = (vj, min(ts, default=Fraction(1)) / 2)
         piece2 = subcurve(m.curve, cut2, (len(pts) - 2, Fraction(1)), m.id)
 
@@ -347,7 +345,7 @@ def product_color(fam: CurveFamily, phi1: dict, phi2: dict,
 
     if cell_colorer is None:
         def cell_colorer(cell: CurveFamily) -> dict:
-            g = build_graph(cell.members)
+            g = cell.graph()
             _, w = chromatic_number(g, budget=budget)
             return w.as_label_map(g)
 
@@ -360,14 +358,14 @@ def product_color(fam: CurveFamily, phi1: dict, phi2: dict,
     max_cell_palette = 0
     for key in sorted(cells_by_key):
         members = cells_by_key[key]
-        cert = validate_lr(members)
+        cell_fam = CurveFamily(tuple(members), fam.kind, fam.t)
+        cert = validate_lr(cell_fam)
         if not cert.ok:
             raise ContractError(
                 f"cell {key} is not an LR family (were phi1/phi2 proper?): "
                 + str(cert.violations[0]))
-        cell_fam = CurveFamily(tuple(members), fam.kind, fam.t)
         cc = cell_colorer(cell_fam)
-        g = build_graph(members)
+        g = cell_fam.graph()
         ok, edge = is_proper(g, Coloring(tuple(cc[m.id] for m in members)))
         if not ok:
             raise ImproperCellColoring(
@@ -383,7 +381,7 @@ def product_color(fam: CurveFamily, phi1: dict, phi2: dict,
     dense = {trip: i for i, trip in enumerate(sorted(set(combined.values())))}
     coloring = {mid: dense[trip] for mid, trip in combined.items()}
 
-    g = build_graph(fam.members)
+    g = fam.graph()
     ok, edge = is_proper(g, Coloring(tuple(coloring[m.id] for m in fam.members)))
     if not ok:
         raise ImproperCellColoring(
@@ -406,7 +404,7 @@ def two_t_product_coloring(fam: CurveFamily, budget=None) -> dict:
     """
     budget = _as_budget(budget)
     if fam.kind is FamilyKind.ONE_CURVE:
-        g = build_graph(fam.members)
+        g = fam.graph()
         _, w = chromatic_number(g, budget=budget)
         return w.as_label_map(g)
     fam1, fam2 = split_2t(fam)

@@ -117,7 +117,7 @@ def test_criterion_4_cross_component_coloring():
         split = component_split(fam)
         res = color_cross_component(split)
         assert res.palette <= 4
-        members = [fam.by_id(mid) for mid in split.f_diff]
+        members = [m for m in fam.members if m.id in split.f_diff]
         g = build_graph(members)
         ok, _ = is_proper(g, Coloring(tuple(res.coloring[m.id] for m in members)))
         assert ok

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from curvefam.errors import ContractError, FamilyValidationError, OddCrossingError
+from curvefam.errors import ContractError, FamilyValidationError, OddCrossingError, OverlapError
 from curvefam.families import (
     ChainCandidate,
     CurveFamily,
@@ -12,6 +12,7 @@ from curvefam.families import (
     is_chain,
     make_one_curve,
     member_intersections,
+    pair_points,
     subfamily_between,
     subfamily_on_interval,
     validate_lr,
@@ -161,6 +162,62 @@ class TestValidateLR:
             for m1, m2 in itertools.combinations(inst.members, 2):
                 for p in member_intersections(m1, m2):
                     assert on_left(m1, p) != on_left(m2, p)
+
+
+class TestPairPoints:
+    """The swept pair map against a brute-force map over all pairs."""
+
+    @staticmethod
+    def check(members):
+        ms = list(members)
+        want = {}
+        for i, j in itertools.combinations(range(len(ms)), 2):
+            pts = member_intersections(ms[i], ms[j])
+            if pts:
+                want[(i, j)] = pts
+        got = pair_points(ms)
+        assert got == want and list(got) == sorted(got)
+        return got
+
+    def test_seeded_lr_and_two_t_families(self):
+        rng = random.Random(83)
+        for _ in range(6):
+            fam = lr_family(rng, max_members=25)
+            assert self.check(fam.members) == fam.pairs
+            fam = two_t_family(rng, max_members=15)
+            assert self.check(fam.members) == fam.pairs
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_probe_construction(self, k):
+        from curvefam.burling import generate
+
+        inst = generate(k)
+        assert self.check(inst.members) == inst.pairs
+
+    def test_extents_touching_at_one_x(self):
+        # the arm of a ends at x = 6 on the left segment of b, whose extent
+        # starts at x = 6; b comes first, so the sweep meets the pair as (a, b)
+        a = decompose_even_curve(Polyline(
+            (P(0, 2), P(0, -1), P(3, -1), P(3, 4), P(6, 4)), "a"))
+        b = two_curve("b", 6, 8, top=5)
+        far = two_curve("far", 10, 12)
+        assert self.check([b, a, far]) == {(0, 1): [P(6, 4)]}
+
+    def test_equal_extents(self):
+        a = two_curve("a", 0, 10, top=3)
+        b = decompose_even_curve(Polyline(
+            (P(0, 6), P(2, 6), P(2, -2), P(8, -2), P(8, 1), P(10, 1)), "b"))
+        assert self.check([a, b]) == {(0, 1): [P(2, -1), P(8, -1), P(10, 1)]}
+
+    def test_overlap_names_first_pair_in_input_order(self):
+        # C shares a bottom segment with both A and B; the sweep reaches
+        # (B, C) first, but (A, C) comes first in input order
+        A = two_curve("A", 11, 14)
+        B = two_curve("B", 1, 4)
+        C = two_curve("C", 0, 15, top=3)
+        for run in (pair_points, validate_lr):
+            with pytest.raises(OverlapError, match="'A' and 'C'"):
+                run([A, B, C])
 
 
 class TestSubfamilies:

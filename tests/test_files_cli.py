@@ -128,6 +128,20 @@ def test_malformed_double_curve_file(tmp_path, capsys, mutate):
     assert "FileFormatError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["color", "--exact", "--family"], ["omega", "--family"],
+                                     ["verify-family"]])
+def test_overlapping_double_curves(tmp_path, capsys, command):
+    # g0.0's left crosses the arm of o.x, and its right arm runs along that
+    # arm: the overlap comes after a hit in the same member pair
+    doc = familyfile.burling_to_jsonable(generate(2))
+    gadget = next(c for c in doc["curves"] if c["id"] == "g0.0")
+    gadget["parts"] = [[[305, 0], [305, 140]], [[328, 0], [328, 128], [376, 128]]]
+    path = tmp_path / "overlap.json"
+    path.write_text(familyfile.dump_json(doc))
+    assert main([*command, str(path)]) == 2
+    assert "OverlapError: polylines 'o.x.R' and 'g0.0.R'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("body", [
     b"\xff\xfe{}",
     b'{"scale": 1, "kind": "two_t", "t": "x", "curves": []}',
@@ -210,6 +224,36 @@ class TestCli:
         assert main(["gen-burling", "--k", str(k), "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    # sha256 of every file the reductions write on one seeded lr2 family and
+    # one seeded two_t family; computed before the reductions read the
+    # family's pair map instead of scanning member pairs themselves
+    @pytest.mark.parametrize("reduction, source, outs, digests", [
+        ("component-split", "lr", ["--out", "split.json"], {
+            "split.json": "e297339015836c110c7c1d57dba1dd9ec70bff50d05169986d690c4250894c8e"}),
+        ("rewire", "lr", ["--out", "rewired.json", "--trace", "rewire-trace.json"], {
+            "rewired.json": "a969ef033e53421bd2ef6bd9bf839df9ca31aae330cc33f19cfcdd261e5a91bd",
+            "rewire-trace.json":
+                "9ea33bed5aa2aba1d778fc6ec988065608f90d28aa0eda054f904c7ee176ba16"}),
+        ("split-2t", "tt", ["--out1", "half1.json", "--out2", "half2.json",
+                            "--trace", "split-trace.json"], {
+            "half1.json": "65aa8f702a1d61b0a8d871a5ef9d37997e2352ca91eff7265f432061e297634c",
+            "half2.json": "3f44ddc341f0d02101a604335e45d4063c6f12a0e571f3fe63eed2b5e4e32a0b",
+            "split-trace.json":
+                "80c8769b476b2f606036fc7806af844801ff7b9de9f41d6b1d61f2cc81c115e2"}),
+        ("product-color", "tt", ["--out", "product.json"], {
+            "product.json": "4f7a8a00a84d724caefe67beb9de41463d52de400c19a450142ca45db55f69bc"}),
+    ])
+    def test_reduce_golden_bytes(self, tmp_path, reduction, source, outs, digests):
+        fam = (lr_family(random.Random(29), max_members=20) if source == "lr"
+               else two_t_family(random.Random(27), max_members=12))
+        fam_path = tmp_path / f"{source}.json"
+        familyfile.save(fam, str(fam_path))
+        argv = ["reduce", reduction, "--family", str(fam_path)]
+        argv += [str(tmp_path / a) if a.endswith(".json") else a for a in outs]
+        assert main(argv) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
     def test_gen_unrealizable_level(self, tmp_path, capsys):
         assert main(["gen-burling", "--k", "5", "--out", str(tmp_path / "x5.json")]) == 2
         assert "ScaleOverflow" in capsys.readouterr().err
@@ -264,6 +308,14 @@ class TestCli:
     def test_negative_vertex_count(self, tmp_path, capsys):
         path = tmp_path / "neg.txt"
         path.write_text("-1 0\n")
+        assert main(["color", "--exact", "--graph", str(path)]) == 4
+        assert "FileFormatError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["3 1\n0 1 2\n", "3 1\n0\n", "2 1\n0 0\n"])
+    def test_malformed_edge_row(self, tmp_path, capsys, body):
+        # a row of three integers, a row of one, and a self-loop
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
         assert main(["color", "--exact", "--graph", str(path)]) == 4
         assert "FileFormatError" in capsys.readouterr().err
 

@@ -97,7 +97,7 @@ class TestComponentSplit:
             sp = component_split(fam)
             if sp.f_same:
                 seen_same += 1
-                sub = CurveFamily(tuple(fam.by_id(i) for i in sp.f_same),
+                sub = CurveFamily(tuple(m for m in fam.members if m.id in sp.f_same),
                                   fam.kind, fam.t)
                 ok, pair = nested_or_disjoint(sub)
                 assert ok, pair
@@ -141,7 +141,7 @@ class TestColorCrossComponent:
             sp = component_split(fam)
             res = color_cross_component(sp)
             assert res.palette <= 4
-            members = [fam.by_id(mid) for mid in sp.f_diff]
+            members = [m for m in fam.members if m.id in sp.f_diff]
             g = build_graph(members)
             ok, _ = is_proper(g, Coloring(tuple(res.coloring[m.id] for m in members)))
             assert ok
