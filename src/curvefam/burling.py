@@ -15,9 +15,11 @@ checked during generation (CertificateError otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Optional
 
 from .errors import CertificateError, ContractError, ImproperColoring, ScaleOverflow
@@ -134,14 +136,6 @@ class BurlingInstance:
     probes: tuple
     scale: int
     tree: BurlingNode
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def by_id(self, mid: str) -> DoubleCurve:
-        table = self._cache.get("by_id")
-        if table is None:
-            table = {m.id: m for m in self.members}
-            self._cache["by_id"] = table
-        return table[mid]
 
     @cached_property
     def pairs(self) -> dict:
@@ -339,21 +333,36 @@ def generate(k: int) -> BurlingInstance:
     return BurlingInstance(k, tuple(members), probes, scale, tree)
 
 
+def strip_hits(members, probes) -> list:
+    """Per probe, the indices of the members whose left part meets its closed
+    strip and of those whose point set meets it, both in member order.
+
+    Strips sorted by x_lo, with a running maximum of x_hi, let two bisections
+    bound the strips a part's x-extent can reach (exactly those it overlaps
+    if the strips are disjoint); only those get the exact test."""
+    order = sorted(range(len(probes)), key=lambda s: probes[s].x_lo)
+    starts = [probes[s].x_lo for s in order]
+    reach = list(accumulate((probes[s].x_hi for s in order), max))
+
+    def strips_met(part: Polyline) -> set:
+        x0, _, x1, _ = part.bbox
+        return {s for s in order[bisect_left(reach, x0):bisect_right(starts, x1)]
+                if polyline_meets_vstrip(part, probes[s].x_lo, probes[s].x_hi)}
+
+    hits = [([], []) for _ in probes]
+    for i, m in enumerate(members):
+        on_left = strips_met(m.left)
+        for s in on_left:
+            hits[s][0].append(i)
+        for s in on_left | strips_met(m.right):
+            hits[s][1].append(i)
+    return hits
+
+
 def crossing_set(inst: BurlingInstance, probe: Probe) -> list:
     """Ids of the double-curves whose point set meets the closed strip."""
-    return _crossing_ids(inst, inst.members, probe, "all")
-
-
-def _crossing_ids(inst: BurlingInstance, members, probe: Probe, cache_key) -> list:
-    """crossing_set restricted to members, cached under (cache_key, strip)."""
-    key = ("crossing", cache_key, probe.as_pair())
-    out = inst._cache.get(key)
-    if out is None:
-        out = [m.id for m in members
-               if polyline_meets_vstrip(m.left, probe.x_lo, probe.x_hi)
-               or polyline_meets_vstrip(m.right, probe.x_lo, probe.x_hi)]
-        inst._cache[key] = out
-    return out
+    ((_, crossing),) = strip_hits(inst.members, [probe])
+    return [inst.members[i].id for i in crossing]
 
 
 @dataclass(frozen=True)
@@ -403,25 +412,20 @@ def verify_properties(inst: BurlingInstance) -> BurlingReport:
         f"{len(strips)} disjoint strips" if not overlap
         else f"overlapping strips {overlap[:3]}"))
 
-    bad = []
-    for pi, probe in enumerate(inst.probes):
-        for m in inst.members:
-            if polyline_meets_vstrip(m.left, probe.x_lo, probe.x_hi):
-                bad.append((pi, m.id))
+    hits = strip_hits(inst.members, inst.probes)
+    bad = [(pi, inst.members[i].id) for pi, (left, _) in enumerate(hits) for i in left]
     checks.append(CheckResult(
         "probes-avoid-left-parts", not bad,
         "all probes disjoint from every L(X)" if not bad else f"violations: {bad[:5]}"))
 
-    g = inst.graph()
-    vertex = {mid: v for v, mid in enumerate(g.labels)}
+    g = inst.graph()   # vertex v is inst.members[v]
     bad = []
-    for pi, probe in enumerate(inst.probes):
-        ids = crossing_set(inst, probe)
-        for a in range(len(ids)):
-            row = g.adj[vertex[ids[a]]]
-            for b in range(a + 1, len(ids)):
-                if (row >> vertex[ids[b]]) & 1:
-                    bad.append((pi, ids[a], ids[b]))
+    for pi, (_, crossing) in enumerate(hits):
+        for a, u in enumerate(crossing):
+            row = g.adj[u]
+            for v in crossing[a + 1:]:
+                if (row >> v) & 1:
+                    bad.append((pi, inst.members[u].id, inst.members[v].id))
     checks.append(CheckResult(
         "crossing-sets-pairwise-disjoint", not bad,
         "members crossing each probe are pairwise disjoint" if not bad
@@ -467,18 +471,12 @@ def audit_coloring(inst: BurlingInstance, coloring: Mapping[str, int]) -> AuditR
     if not ok:
         raise ImproperColoring((g.labels[edge[0]], g.labels[edge[1]]))
 
-    member_lists = inst._cache.setdefault("node_members", {})
-
-    def members_of(node: BurlingNode):
-        got = member_lists.get(id(node))
-        if got is None:
-            got = tuple(inst.by_id(mid) for mid in node.member_ids())
-            member_lists[id(node)] = got
-        return got
+    by_id = {m.id: m for m in inst.members}
 
     def colors_on(node: BurlingNode, probe: Probe) -> frozenset:
-        ids = _crossing_ids(inst, members_of(node), probe, id(node))
-        return frozenset(coloring[mid] for mid in ids)
+        members = [by_id[mid] for mid in node.member_ids()]
+        ((_, crossing),) = strip_hits(members, [probe])
+        return frozenset(coloring[members[i].id] for i in crossing)
 
     def descend(node: BurlingNode):
         if node.level == 1:

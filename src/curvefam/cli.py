@@ -76,12 +76,12 @@ def _load_coloring(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        colors = doc.get("colors")
-        if not isinstance(colors, dict):
-            raise FileFormatError("coloring file needs a colors object")
-        return {str(k): int(v) for k, v in colors.items()}
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except ValueError as exc:   # not JSON, or not UTF-8
         raise FileFormatError(f"{path}: bad coloring file ({exc})") from None
+    colors = doc.get("colors") if isinstance(doc, dict) else None
+    if not isinstance(colors, dict):
+        raise FileFormatError("coloring file needs a colors object")
+    return {k: familyfile._typed(v, int, f"color of {k!r}") for k, v in colors.items()}
 
 
 def _check_proper(g, witness: Coloring) -> None:

@@ -16,6 +16,7 @@ fixed separators, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Union
 
 from .burling import BurlingInstance, BurlingNode, DoubleCurve, Gadget, Probe
@@ -234,8 +235,13 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
                            _check_int(doc.get("scale", 1), "scale"), tree)
     if tree.probes != probes:
         raise FileFormatError("probes section disagrees with the recursion tree")
-    tree_ids = set(tree.member_ids())
-    if tree_ids != {m.id for m in members}:
+    curve_ids = [m.id for m in members]
+    tree_ids = tree.member_ids()
+    for what, ids in (("curve list", curve_ids), ("recursion tree", tree_ids)):
+        repeated = [mid for mid, n in Counter(ids).items() if n > 1]
+        if repeated:
+            raise FileFormatError(f"{what} holds member id {repeated[0]!r} more than once")
+    if set(tree_ids) != set(curve_ids):
         raise FileFormatError("recursion tree members disagree with the curve list")
     return inst
 

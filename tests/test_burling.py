@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from curvefam.burling import (
     crossing_set,
     expected_sizes,
     generate,
+    strip_hits,
     verify_properties,
 )
 from curvefam.errors import CertificateError, ContractError, ImproperColoring, ScaleOverflow
@@ -95,7 +97,8 @@ class TestVerify:
         # extra left 1-curve, so one probe's crossing set stops being
         # pairwise disjoint
         inst = generate(2)
-        gadget_top = inst.by_id("g0.0").left.points[1].y
+        (gadget,) = [m for m in inst.members if m.id == "g0.0"]
+        gadget_top = gadget.left.points[1].y
         copy_top = max(p.y for m in inst.members if m.id.startswith("p0.")
                        for part in m.polylines() for p in part.points)
         new_h = (gadget_top + copy_top) // 2
@@ -162,6 +165,78 @@ class TestCrossingSets:
                 if hit:
                     want.append(m.id)
             assert crossing_set(inst, probe) == want
+
+    def test_replaced_instance_is_not_stale(self):
+        # o.x's arm shortened to end left of probe 0, in an instance made by
+        # dataclasses.replace from one that was verified already
+        inst = generate(2)
+        assert verify_properties(inst).ok
+        ox = inst.members[0]
+        stem, corner, _ = ox.right.points
+        arm = Polyline((stem, corner, P(296, corner.y)), ox.right.id)
+        short = DoubleCurve(ox.id, ox.left, arm)
+        moved = dataclasses.replace(inst, members=(short, *inst.members[1:]))
+        assert crossing_set(moved, moved.probes[0]) == ["p0.x"]
+
+
+def _scan(members, probes):
+    """strip_hits by testing every part against every strip."""
+    def meets(part, p):
+        return polyline_meets_vstrip(part, p.x_lo, p.x_hi)
+
+    return [([i for i, m in enumerate(members) if meets(m.left, p)],
+             [i for i, m in enumerate(members) if meets(m.left, p) or meets(m.right, p)])
+            for p in probes]
+
+
+# strips over X_2, whose o.x has its left part at x = 64 and its right part
+# over [192, 448], and whose p0.x spans [278, 314]
+_X2_STRIPS = {
+    "overlapping": [(299, 302), (300, 350), (340, 460), (60, 200)],
+    "nested": [(0, 500), (299, 302), (300, 301), (10, 20), (30, 1000), (40, 50)],
+    "one-x-touch": [(448, 460), (40, 64), (180, 192), (314, 316), (276, 278)],
+}
+
+
+class TestStripHits:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_against_scan_on_probes(self, k):
+        inst = generate(k)
+        hits = strip_hits(inst.members, inst.probes)
+        assert hits == _scan(inst.members, inst.probes)
+        assert all(not left and crossing for left, crossing in hits)
+
+    @pytest.mark.parametrize("case", sorted(_X2_STRIPS))
+    def test_against_scan_on_crafted_strips(self, case):
+        inst = generate(2)
+        probes = tuple(Probe(lo, hi) for lo, hi in _X2_STRIPS[case])
+        crafted = BurlingInstance(inst.k, inst.members, probes, inst.scale, inst.tree)
+        want = _scan(crafted.members, probes)
+        assert strip_hits(crafted.members, crafted.probes) == want
+        # verify reports overlapping strips and left-part hits, in scan order
+        checks = {c.name: c for c in verify_properties(crafted).checks}
+        assert checks["probes-pairwise-disjoint"].ok == (case == "one-x-touch")
+        bad = [(pi, inst.members[i].id) for pi, (left, _) in enumerate(want) for i in left]
+        assert checks["probes-avoid-left-parts"].detail == (
+            f"violations: {bad[:5]}" if bad else "all probes disjoint from every L(X)")
+
+    def test_against_scan_on_random_strips(self):
+        rng = random.Random(11)
+        inst = generate(3)
+        span = max(m.right.points[-1].x for m in inst.members)
+        probes = []
+        for _ in range(60):
+            lo = rng.randint(0, span)
+            probes.append(Probe(lo, lo + rng.randint(1, span // 8)))
+        assert strip_hits(inst.members, probes) == _scan(inst.members, probes)
+
+    def test_touching_strips_are_hits(self):
+        inst = generate(2)
+        probes = [Probe(lo, hi) for lo, hi in _X2_STRIPS["one-x-touch"]]
+        ids = [tuple([inst.members[i].id for i in hit] for hit in pair)
+               for pair in strip_hits(inst.members, probes)]
+        assert ids == [([], ["o.x"]), (["o.x"], ["o.x"]), ([], ["o.x"]),
+                       ([], ["o.x", "p0.x"]), (["p0.x"], ["o.x", "p0.x"])]
 
 
 class TestAudit:

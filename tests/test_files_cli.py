@@ -114,9 +114,22 @@ def _zero_width_probe(doc):
     doc["probes"][0] = [5, 5]
 
 
+def _curve_id_twice(doc):
+    # a second, far-away g0.0: its labels collapse into one in a coloring
+    doc["curves"].append({"id": "g0.0", "parts": [[[1000, 0], [1000, 10]],
+                                                  [[1010, 0], [1010, 5], [1020, 5]]]})
+
+
+def _tree_member_twice(doc):
+    # the tree names p0.x as the gadget too, so its id set still matches
+    doc["curves"] = [c for c in doc["curves"] if c["id"] != "g0.0"]
+    doc["burling"]["tree"]["gadgets"][0][0]["x"] = "p0.x"
+
+
 @pytest.mark.parametrize("mutate", [_drop_outer, _short_gadget_probe, _curves_not_a_list,
                                     _level_not_an_int, _level_skips_outer,
-                                    _zero_width_probe])
+                                    _zero_width_probe, _curve_id_twice,
+                                    _tree_member_twice])
 def test_malformed_double_curve_file(tmp_path, capsys, mutate):
     doc = familyfile.burling_to_jsonable(generate(2))
     mutate(doc)
@@ -151,6 +164,29 @@ def test_malformed_family_file(tmp_path, capsys, body):
     path.write_bytes(body)
     assert main(["verify-family", str(path)]) == 4
     assert "FileFormatError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"colors": {"o.x": True, "p0.x": False, "g0.0": "1"}},
+    {"colors": {"o.x": 0, "p0.x": 1.5, "g0.0": 1.2}},
+    [],
+])
+def test_malformed_coloring_file(tmp_path, capsys, doc):
+    # bools and a string once passed the audit as ints, truncated floats
+    # ended in ImproperColoring, and a top-level list in a traceback
+    fam_path = str(tmp_path / "x2.json")
+    familyfile.save(generate(2), fam_path)
+    col_path = tmp_path / "col.json"
+    col_path.write_text(json.dumps(doc))
+    assert main(["audit-burling", fam_path, "--coloring", str(col_path)]) == 4
+    assert "FileFormatError" in capsys.readouterr().err
+
+
+def _left_part_in_probe_0(doc):
+    lo, hi = doc["probes"][0]
+    gadget = next(c for c in doc["curves"] if c["id"] == "p0.g0.0")
+    top = gadget["parts"][0][1][1]
+    gadget["parts"][0] = [[(lo + hi) // 2, 0], [(lo + hi) // 2, top]]
 
 
 def _write_two_t(tmp_path) -> str:
@@ -253,6 +289,44 @@ class TestCli:
         assert main(argv) == 0
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    # sha256 of verify-family reports and audit-burling stdout, computed
+    # before the probe checks and the audit read one strip sweep
+    @pytest.mark.parametrize("k, mutate, code, digest", [
+        (3, None, 0, "a79a0c70cde92d7eecbc2a451bf63b2ff3d449fe2bcb8f957339f780d3cdc4bf"),
+        (4, None, 0, "fc1280b4b92bad9a335b7a1482271a4c68148d58e86676af42df6e4e766ea27b"),
+        (3, _left_part_in_probe_0, 2,
+         "508c530b94dc90408eaab616963c3b1506f9de4305f7d866806e55076474a208"),
+    ])
+    def test_verify_report_golden_bytes(self, tmp_path, k, mutate, code, digest):
+        doc = familyfile.burling_to_jsonable(generate(k))
+        if mutate is not None:
+            mutate(doc)
+        fam_path, report = tmp_path / f"x{k}.json", tmp_path / "report.txt"
+        fam_path.write_text(familyfile.dump_json(doc))
+        assert main(["verify-family", str(fam_path), "--report", str(report)]) == code
+        assert ("FAIL probes-avoid-left-parts" in report.read_text()) == bool(code)
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("1", "1abe55dc13452f99e9618cc10b942dd1291d3b72f2ba4282773ed8b105293d29"),
+        ("7", "91071e330f71f41748d2fd91709078c5c6156afb195211de9572267c25339c84"),
+        ("9001", "d230ea3844505b646af7c3167b458eaf10db3eec74f54792eb1c905a09868243"),
+        ("exact", "486fe33e5e675b97a4f3c01075819e06bee6a54d9daa5577cc8554989337b2f9"),
+    ])
+    def test_audit_golden_stdout(self, tmp_path, capsys, mode, digest):
+        fam_path = str(tmp_path / "x4.json")
+        familyfile.save(generate(4), fam_path)
+        if mode == "exact":
+            col_path = str(tmp_path / "col.json")
+            assert main(["color", "--exact", "--family", fam_path, "--out", col_path]) == 0
+            capsys.readouterr()
+            argv = ["--coloring", col_path]
+        else:
+            argv = ["--greedy-seed", mode]
+        assert main(["audit-burling", fam_path, *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_gen_unrealizable_level(self, tmp_path, capsys):
         assert main(["gen-burling", "--k", "5", "--out", str(tmp_path / "x5.json")]) == 2

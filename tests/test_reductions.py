@@ -126,7 +126,7 @@ class TestColorCrossComponent:
             sp = component_split(inst)
             res = color_cross_component(sp)
             assert res.palette <= 4
-            members = [inst.by_id(mid) for mid in sp.f_diff]
+            members = [m for m in inst.members if m.id in sp.f_diff]
             g = build_graph(members)
             lifted = Coloring(tuple(res.coloring[m.id] for m in members))
             ok, _ = is_proper(g, lifted)
