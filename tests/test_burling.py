@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -84,6 +85,38 @@ class TestGenerate:
         assert any(i.startswith("p0.") for i in ids)
 
 
+# sha256 of three coordinate-free views of X_k, pinned before the layout
+# became rank-compressed: the labelled edge list, each probe's crossing set
+# as ids (probes in tree order), and the verify report lines
+_LAYOUT_FREE = {
+    1: ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "73cb3858a687a8494ca3323053016282f3dad39d42cf62ca4e79dda2aac7d9ac",
+        "ea42851ee15cac6e60b86a72d3c468337c3904c502dad7e25dca20d03f822508"),
+    2: ("173de2504628d54cdbf665f0e13671346e6d634d42247345aa6fdc46ff364f2b",
+        "60fd6d76e921db8d7397e8c5f1846090b2e54fffeb01ace096dfabbab1448afe",
+        "ae9c684e4725e50b1aa8736942ccdcdc753e348ae79434d59809c917c1f04968"),
+    3: ("54a000eb36b85807aed941466fb4243ed5ec51445aa7ec51dbffd1d41d7dc95d",
+        "8028822936213aff01590b85a41bdb283f2fbe6100a488e34fd40eb9e060f184",
+        "a79a0c70cde92d7eecbc2a451bf63b2ff3d449fe2bcb8f957339f780d3cdc4bf"),
+    4: ("1d10392f3d07cf787bb7d98b8aab4ccf1d9fc0bc7817f9a7ad2e48609965798d",
+        "90d4eed67c6b0f524d420569d229561c2b11b19922fdd86ecbccd9411320802e",
+        "fc1280b4b92bad9a335b7a1482271a4c68148d58e86676af42df6e4e766ea27b"),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_layout_free_views_pinned(k):
+    inst = generate(k)
+    g = inst.graph()
+    edges = "".join(f"{g.labels[u]} {g.labels[v]}\n" for u, v in g.edges())
+    crossing = "".join(" ".join(inst.members[i].id for i in ids) + "\n"
+                       for _, ids in strip_hits(inst.members, inst.probes))
+    report = "".join(line + "\n" for line in verify_properties(inst).lines())
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (edges, crossing, report))
+    assert digests == _LAYOUT_FREE[k]
+
+
 class TestVerify:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_checks_pass(self, k):
@@ -167,13 +200,15 @@ class TestCrossingSets:
             assert crossing_set(inst, probe) == want
 
     def test_replaced_instance_is_not_stale(self):
-        # o.x's arm shortened to end left of probe 0, in an instance made by
-        # dataclasses.replace from one that was verified already
+        # o.x's arm shortened to end at the left end of p0.x's own probe, left
+        # of probe 0, in an instance made by dataclasses.replace from one that
+        # was verified already
         inst = generate(2)
         assert verify_properties(inst).ok
         ox = inst.members[0]
         stem, corner, _ = ox.right.points
-        arm = Polyline((stem, corner, P(296, corner.y)), ox.right.id)
+        arm = Polyline((stem, corner, P(inst.tree.inner[0].probe.x_lo, corner.y)),
+                       ox.right.id)
         short = DoubleCurve(ox.id, ox.left, arm)
         moved = dataclasses.replace(inst, members=(short, *inst.members[1:]))
         assert crossing_set(moved, moved.probes[0]) == ["p0.x"]
@@ -189,13 +224,37 @@ def _scan(members, probes):
             for p in probes]
 
 
-# strips over X_2, whose o.x has its left part at x = 64 and its right part
-# over [192, 448], and whose p0.x spans [278, 314]
-_X2_STRIPS = {
-    "overlapping": [(299, 302), (300, 350), (340, 460), (60, 200)],
-    "nested": [(0, 500), (299, 302), (300, 301), (10, 20), (30, 1000), (40, 50)],
-    "one-x-touch": [(448, 460), (40, 64), (180, 192), (314, 316), (276, 278)],
-}
+# X_2 drawn on a grid _GRID times finer: every crafted strip end below is an
+# x of X_2 moved by less than _GRID, so it keeps its order against every x of
+# the instance, and with it its hits, however tightly the generator packs them
+_GRID = 4
+
+
+def _x2_crafted():
+    """X_2's members on the finer grid, and the crafted strips per case."""
+    inst = generate(2)
+    members = tuple(DoubleCurve(m.id, m.left.scaled(_GRID), m.right.scaled(_GRID))
+                    for m in inst.members)
+    ox, p0x, _ = members
+    lo, stem, hi = ox.left.points[0].x, ox.right.points[0].x, ox.right.points[-1].x
+    p0_left, p0_end = p0x.left.points[0].x, p0x.right.points[-1].x
+    (a_lo, a_hi), (b_lo, _) = ((_GRID * p.x_lo, _GRID * p.x_hi) for p in inst.probes)
+    strips = {
+        # a probe, a strip from inside it to inside the other probe, one from
+        # just left of that probe to past every curve, and one over o.x's left
+        # part and stem
+        "overlapping": [(a_lo, a_hi), (a_lo + 1, b_lo + 1), (b_lo - 1, hi + 1),
+                        (lo - 1, stem + 1)],
+        # a strip over everything, a probe holding a narrower strip, and two
+        # strips left of every curve, one of them inside a strip past them all
+        "nested": [(lo - 8, hi + 8), (a_lo, a_hi), (a_lo + 1, a_hi - 1),
+                   (lo - 7, lo - 6), (lo - 5, hi + 16), (lo - 4, lo - 3)],
+        # disjoint strips, each touching one x of a curve with one end: o.x's
+        # arm end, left part and stem, then p0.x's arm end and left part
+        "one-x-touch": [(hi, hi + 1), (lo - 1, lo), (stem - 1, stem),
+                        (p0_end, p0_end + 1), (p0_left - 1, p0_left)],
+    }
+    return inst, members, strips
 
 
 class TestStripHits:
@@ -206,17 +265,17 @@ class TestStripHits:
         assert hits == _scan(inst.members, inst.probes)
         assert all(not left and crossing for left, crossing in hits)
 
-    @pytest.mark.parametrize("case", sorted(_X2_STRIPS))
+    @pytest.mark.parametrize("case", ["nested", "one-x-touch", "overlapping"])
     def test_against_scan_on_crafted_strips(self, case):
-        inst = generate(2)
-        probes = tuple(Probe(lo, hi) for lo, hi in _X2_STRIPS[case])
-        crafted = BurlingInstance(inst.k, inst.members, probes, inst.scale, inst.tree)
+        inst, members, strips = _x2_crafted()
+        probes = tuple(Probe(lo, hi) for lo, hi in strips[case])
+        crafted = dataclasses.replace(inst, members=members, probes=probes)
         want = _scan(crafted.members, probes)
         assert strip_hits(crafted.members, crafted.probes) == want
         # verify reports overlapping strips and left-part hits, in scan order
         checks = {c.name: c for c in verify_properties(crafted).checks}
         assert checks["probes-pairwise-disjoint"].ok == (case == "one-x-touch")
-        bad = [(pi, inst.members[i].id) for pi, (left, _) in enumerate(want) for i in left]
+        bad = [(pi, members[i].id) for pi, (left, _) in enumerate(want) for i in left]
         assert checks["probes-avoid-left-parts"].detail == (
             f"violations: {bad[:5]}" if bad else "all probes disjoint from every L(X)")
 
@@ -231,10 +290,10 @@ class TestStripHits:
         assert strip_hits(inst.members, probes) == _scan(inst.members, probes)
 
     def test_touching_strips_are_hits(self):
-        inst = generate(2)
-        probes = [Probe(lo, hi) for lo, hi in _X2_STRIPS["one-x-touch"]]
-        ids = [tuple([inst.members[i].id for i in hit] for hit in pair)
-               for pair in strip_hits(inst.members, probes)]
+        _, members, strips = _x2_crafted()
+        probes = [Probe(lo, hi) for lo, hi in strips["one-x-touch"]]
+        ids = [tuple([members[i].id for i in hit] for hit in pair)
+               for pair in strip_hits(members, probes)]
         assert ids == [([], ["o.x"]), (["o.x"], ["o.x"]), ([], ["o.x"]),
                        ([], ["o.x", "p0.x"]), (["p0.x"], ["o.x", "p0.x"])]
 

@@ -147,8 +147,11 @@ def test_overlapping_double_curves(tmp_path, capsys, command):
     # g0.0's left crosses the arm of o.x, and its right arm runs along that
     # arm: the overlap comes after a hit in the same member pair
     doc = familyfile.burling_to_jsonable(generate(2))
-    gadget = next(c for c in doc["curves"] if c["id"] == "g0.0")
-    gadget["parts"] = [[[305, 0], [305, 140]], [[328, 0], [328, 128], [376, 128]]]
+    curves = {c["id"]: c for c in doc["curves"]}
+    (_, (_, ox_top)), (_, (_, arm_h), _) = curves["o.x"]["parts"]
+    (left_foot, (left_x, _)), (stem_foot, _, (end_x, _)) = curves["g0.0"]["parts"]
+    curves["g0.0"]["parts"] = [[left_foot, [left_x, ox_top]],
+                               [stem_foot, [stem_foot[0], arm_h], [end_x, arm_h]]]
     path = tmp_path / "overlap.json"
     path.write_text(familyfile.dump_json(doc))
     assert main([*command, str(path)]) == 2
