@@ -8,9 +8,11 @@ probe; the step places a scaled copy of the previous level inside every
 probe, below the horizontal arms crossing it, and wires one new double-curve
 plus two new probes for every probe of every inner copy.
 
-Geometry is laid out in exact dyadic rationals inside a unit box and scaled
-to integers at the end; every incidence claimed by the construction is also
-checked during generation (CertificateError otherwise).
+Geometry is laid out in exact dyadic rationals inside a unit box, and every
+incidence claimed by the construction is checked during that layout
+(CertificateError otherwise). Every curve and probe is axis-parallel, so only
+the order of the x values and of the y values matters: each is replaced by
+its rank, giving integer coordinates from 1 upward over the baseline y = 0.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Optional
 
-from .errors import CertificateError, ContractError, ImproperColoring, ScaleOverflow
-from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline, polyline_meets_vstrip, polylines_disjoint
+from .errors import CertificateError, ContractError, ImproperColoring
+from .geometry import MAX_GENERATED_CURVES, Point, Polyline, polyline_meets_vstrip, polylines_disjoint
 from .families import pair_points, validate_lr
 from .graphcore import Coloring, IntersectionGraph, find_triangle, graph_from_edges, is_proper
 
@@ -37,8 +39,9 @@ def expected_sizes(k: int):
 
 @dataclass(frozen=True)
 class Probe:
-    """A vertical strip of the upper half-plane over [x_lo, x_hi]; the
-    generator lays strips out with Fraction ends before scaling to ints."""
+    """A vertical strip of the upper half-plane over [x_lo, x_hi]. The
+    generator lays strips out with Fraction ends, then replaces each end by
+    its rank among the instance's x values."""
 
     x_lo: int
     x_hi: int
@@ -134,7 +137,6 @@ class BurlingInstance:
     k: int
     members: tuple
     probes: tuple
-    scale: int
     tree: BurlingNode
 
     @cached_property
@@ -162,7 +164,7 @@ class _RMember:
 @dataclass(frozen=True)
 class _RInst:
     members: tuple
-    tree: BurlingNode   # probe ends are Fractions until the final scaling
+    tree: BurlingNode   # probe ends are Fractions until the final ranking
 
 
 def _map_node(node: BurlingNode, prefix: str, f) -> BurlingNode:
@@ -206,25 +208,6 @@ def _crossing_arms(inst: _RInst, lo: Fraction, hi: Fraction) -> list:
     return out
 
 
-def _copy_map(lo: Fraction, hi: Fraction):
-    """x -> x placed in the scaled copy that the step puts inside [lo, hi]."""
-    width = hi - lo
-    x0, sx = lo + width / 8, 3 * width / 8
-    return lambda x: x0 + x * sx
-
-
-def _scale_bound(probes) -> int:
-    """A lower bound on the scale of the next level.
-
-    It is the denominator of the left end of one of that level's gadget
-    a-strips: the one for the copy of the probe whose width has the largest
-    denominator, inside that same probe."""
-    q = max(probes, key=lambda p: (p.x_hi - p.x_lo).denominator)
-    fx = _copy_map(q.x_lo, q.x_hi)
-    c, d = fx(q.x_lo), fx(q.x_hi)
-    return (c + (d - c) / 4).denominator
-
-
 def _step(inst: _RInst) -> _RInst:
     members = [_RMember("o." + m.id, m.lx, m.ltop, m.rx, m.rh, m.rend)
                for m in inst.members]
@@ -238,7 +221,11 @@ def _step(inst: _RInst) -> _RInst:
         h = min(m.rh for m in _crossing_arms(inst, lo, hi))
 
         # scaled copy of the whole instance inside the strip, below the arms
-        fx = _copy_map(lo, hi)
+        x0, sx = lo + width / 8, 3 * width / 8
+
+        def fx(x):
+            return x0 + x * sx
+
         sy = h / 2
         pre = f"p{i}."
         for m in inst.members:
@@ -269,59 +256,51 @@ def _step(inst: _RInst) -> _RInst:
     return _RInst(tuple(members), tree)
 
 
-def _power_of_two_lcm(fractions_iter) -> int:
-    scale = 1
-    for f in fractions_iter:
-        d = Fraction(f).denominator
-        if d & (d - 1):
-            raise CertificateError(f"non-dyadic coordinate denominator {d}")
-        scale = max(scale, d)
-    return scale
+def _all_probes(node: BurlingNode) -> list:
+    """The probes of the node and of every copy below it."""
+    if node.level == 1:
+        return [node.probe]
+    below = [q for ch in (node.outer, *node.inner) for q in _all_probes(ch)]
+    return below + list(node.probes)
+
+
+def _ranker(values):
+    """v -> the rank of v among the distinct values, from 1 upward. The values
+    are dyadic, so scaled by their largest denominator they sort as ints."""
+    den = max(v.denominator for v in values)
+    keys = sorted({v.numerator * (den // v.denominator) for v in values})
+    rank = dict(zip(keys, range(1, len(keys) + 1)))
+    return lambda v: rank[v.numerator * (den // v.denominator)]
 
 
 def generate(k: int) -> BurlingInstance:
-    """Generate the level-k instance with exact integer coordinates.
-
-    Raises ScaleOverflow when the level cannot be realized within the 2**62
-    coordinate contract: the strips shrink doubly exponentially, which in
-    this realization overflows at k = 5. A lower bound on each next scale
-    makes an unrealizable level fail before any of its members is built.
-    """
+    """Generate the level-k instance with rank coordinates (see the module
+    docstring). A level with more than MAX_GENERATED_CURVES members, as every
+    k >= 6 has, raises ContractError before any member is built."""
     if k < 1:
         raise ContractError("k must be at least 1")
+    n_exp, p_exp = expected_sizes(k)
+    if n_exp > MAX_GENERATED_CURVES:
+        raise ContractError(
+            f"level {k} has {n_exp} double-curves, beyond the "
+            f"{MAX_GENERATED_CURVES} the generator builds")
 
     inst = _base()
     for _ in range(k - 1):
-        bound = _scale_bound(inst.tree.probes)
-        if bound > MAX_COORD_MAGNITUDE:
-            raise ScaleOverflow(
-                f"level {k} needs scale at least 2**{bound.bit_length() - 1}, "
-                "beyond the 2**62 coordinate contract")
         inst = _step(inst)
 
-    scale = _power_of_two_lcm(
-        [x for m in inst.members for x in (m.lx, m.ltop, m.rx, m.rh, m.rend)]
-        + [x for q in inst.tree.probes for x in q.as_pair()])
-    if scale > MAX_COORD_MAGNITUDE:
-        raise ScaleOverflow(
-            f"level {k} needs scale 2**{scale.bit_length() - 1}, beyond the "
-            f"2**62 coordinate contract")
-
-    def to_int(x: Fraction) -> int:
-        v = x * scale
-        if v.denominator != 1:
-            raise CertificateError(f"coordinate {x} is not integral at scale {scale}")
-        return v.numerator
-
+    rank_x = _ranker([x for m in inst.members for x in (m.lx, m.rx, m.rend)]
+                     + [x for q in _all_probes(inst.tree) for x in q.as_pair()])
+    rank_y = _ranker([y for m in inst.members for y in (m.ltop, m.rh)])
     members = []
     for m in inst.members:
-        lx, ltop, rx, rh, rend = map(to_int, (m.lx, m.ltop, m.rx, m.rh, m.rend))
+        lx, rx, rend = rank_x(m.lx), rank_x(m.rx), rank_x(m.rend)
+        ltop, rh = rank_y(m.ltop), rank_y(m.rh)
         left = Polyline((Point(lx, 0), Point(lx, ltop)), f"{m.id}.L")
         right = Polyline((Point(rx, 0), Point(rx, rh), Point(rend, rh)), f"{m.id}.R")
         members.append(DoubleCurve(m.id, left, right))
-    tree = _map_node(inst.tree, "", to_int)
+    tree = _map_node(inst.tree, "", rank_x)
 
-    n_exp, p_exp = expected_sizes(k)
     probes = tree.probes
     if (len(members), len(probes)) != (n_exp, p_exp):
         raise CertificateError(
@@ -330,7 +309,7 @@ def generate(k: int) -> BurlingInstance:
     xs = [x for m in members for x in m.basepoint_xs()]
     if len(set(xs)) != len(xs):
         raise CertificateError("basepoints are not pairwise distinct")
-    return BurlingInstance(k, tuple(members), probes, scale, tree)
+    return BurlingInstance(k, tuple(members), probes, tree)
 
 
 def strip_hits(members, probes) -> list:

@@ -100,8 +100,9 @@ def _cmd_gen_burling(cfg: RunConfig) -> int:
     familyfile.save(inst, cfg.args.out)
     if cfg.args.svg:
         _write(cfg.args.svg, svgrender.render_family(inst))
+    xs, ys = zip(*(p for m in inst.members for part in m.polylines() for p in part.points))
     print(f"generated k={inst.k}: {len(inst.members)} double-curves, "
-          f"{len(inst.probes)} probes, scale {inst.scale}")
+          f"{len(inst.probes)} probes, max x {max(xs)}, max y {max(ys)}")
     return EXIT_OK
 
 

@@ -82,10 +82,6 @@ class CertificateError(CurvefamError):
     """
 
 
-class ScaleOverflow(CurvefamError):
-    """Integer coordinates would exceed the 2**62 magnitude contract."""
-
-
 class PreconditionUnmet(CurvefamError):
     """A reduction's verified numeric precondition does not hold."""
 

@@ -61,6 +61,14 @@ def _typed(v, typ, what: str):
     return v
 
 
+def _curve_id(row) -> str:
+    """The id of a curve-list row: a non-empty string."""
+    mid = row.get("id")
+    if not isinstance(mid, str) or not mid:
+        raise FileFormatError(f"curve id must be a non-empty string, got {mid!r:.60}")
+    return mid
+
+
 def _probe_from_json(row, what: str) -> Probe:
     if not isinstance(row, list) or len(row) != 2:
         raise FileFormatError(f"{what} must be [x_lo, x_hi], got {row!r:.60}")
@@ -137,10 +145,10 @@ def family_from_jsonable(doc: dict) -> CurveFamily:
         _typed(t, int, "t")
     members = []
     for row in _typed(doc.get("curves", []), list, "curves"):
-        if "points" not in _typed(row, dict, "curve"):
-            raise FileFormatError(f"curve {row.get('id')!r} misses points")
-        poly = Polyline(_points_from_json(row["points"], f"curve {row.get('id')!r}"),
-                        str(row.get("id", "")))
+        mid = _curve_id(_typed(row, dict, "curve"))
+        if "points" not in row:
+            raise FileFormatError(f"curve {mid!r} misses points")
+        poly = Polyline(_points_from_json(row["points"], f"curve {mid!r}"), mid)
         if kind is FamilyKind.ONE_CURVE:
             members.append(make_one_curve(poly))
         else:
@@ -201,7 +209,7 @@ def _node_from_jsonable(doc) -> BurlingNode:
 
 def burling_to_jsonable(inst: BurlingInstance) -> dict:
     return {
-        "scale": inst.scale,
+        "scale": 1,
         "kind": "double",
         "curves": [{"id": m.id,
                     "parts": [_points_to_json(m.left), _points_to_json(m.right)]}
@@ -214,11 +222,10 @@ def burling_to_jsonable(inst: BurlingInstance) -> dict:
 def burling_from_jsonable(doc: dict) -> BurlingInstance:
     members = []
     for row in _typed(doc.get("curves", []), list, "curves"):
-        parts = _typed(row, dict, "double-curve").get("parts")
+        mid = _curve_id(_typed(row, dict, "double-curve"))
+        parts = row.get("parts")
         if not isinstance(parts, list) or len(parts) != 2:
-            raise FileFormatError(
-                f"double-curve {row.get('id')!r} needs parts [L, R]")
-        mid = str(row.get("id", ""))
+            raise FileFormatError(f"double-curve {mid!r} needs parts [L, R]")
         left = Polyline(_points_from_json(parts[0], f"{mid}.L"), f"{mid}.L")
         right = Polyline(_points_from_json(parts[1], f"{mid}.R"), f"{mid}.R")
         members.append(DoubleCurve(mid, left, right))
@@ -231,8 +238,7 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
     if _typed(burl["k"], int, "burling k") != tree.level:
         raise FileFormatError(
             f"burling k = {burl['k']} disagrees with the tree level {tree.level}")
-    inst = BurlingInstance(burl["k"], tuple(members), probes,
-                           _check_int(doc.get("scale", 1), "scale"), tree)
+    inst = BurlingInstance(burl["k"], tuple(members), probes, tree)
     if tree.probes != probes:
         raise FileFormatError("probes section disagrees with the recursion tree")
     curve_ids = [m.id for m in members]

@@ -33,6 +33,10 @@ Coord = Union[int, Fraction]
 #: bound on curve complexity; this cap only guards resource use.
 MAX_POLYLINE_VERTICES = 10_000
 
+#: Generator limit on the double-curves of one probe-construction level.
+#: Level 5 (39,733) fits; level 6 (2,375,752,501) could never be built.
+MAX_GENERATED_CURVES = 1_000_000
+
 #: Magnitude contract for fixed-point coordinates.
 MAX_COORD_MAGNITUDE = 2**62
 

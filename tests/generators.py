@@ -87,7 +87,8 @@ def lr_family(rng: random.Random, max_members: int = 30,
 
     fam = CurveFamily(tuple(members), FamilyKind.LR2)
     res = validate_lr(fam)
-    assert res.ok, f"generator emitted a non-LR family: {res.violations[:1]}"
+    if not res.ok:
+        raise AssertionError(f"generator emitted a non-LR family: {res.violations[:1]}")
     return fam
 
 

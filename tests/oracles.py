@@ -54,7 +54,8 @@ def segments_touch_oracle(a, b, coord_bound: int) -> bool:
     ax0, ay0, ax1, ay1 = _ints(a)
     bx0, by0, bx1, by1 = _ints(b)
     for v in (ax0, ay0, ax1, ay1, bx0, by0, bx1, by1):
-        assert abs(v) <= M, "oracle bound violated"
+        if abs(v) > M:
+            raise AssertionError("oracle bound violated")
 
     i = np.arange(N + 1, dtype=np.int64)
     px = np.int64(N) * ax0 + i * (ax1 - ax0)
@@ -162,9 +163,11 @@ def region_oracle(cap_points, p, res: int = 96, pad: int = 2) -> str:
     mask = _rasterize(segs, res, bounds)
     labels, _ = ndimage.label(~mask)
     cell = ((py - bounds[0][1]) * res, (px - bounds[0][0]) * res)
-    assert not mask[cell], "query cell rasterized as boundary; raise res"
+    if mask[cell]:
+        raise AssertionError("query cell rasterized as boundary; raise res")
     outside = labels[0, 0]
-    assert outside != 0
+    if outside == 0:
+        raise AssertionError("the raster corner is not outside the ring")
     return "ext" if labels[cell] == outside else "int"
 
 
@@ -193,6 +196,7 @@ def connectivity_oracle(polylines, res: int = 4):
     comp = []
     for m in per_curve:
         ls = set(np.unique(labels[m])) - {0}
-        assert len(ls) == 1, "a polyline rasterized into disconnected labels"
+        if len(ls) != 1:
+            raise AssertionError("a polyline rasterized into disconnected labels")
         comp.append(int(ls.pop()))
     return comp

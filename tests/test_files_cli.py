@@ -126,10 +126,24 @@ def _tree_member_twice(doc):
     doc["burling"]["tree"]["gadgets"][0][0]["x"] = "p0.x"
 
 
+# ids that once loaded as 'None', '5' and '': only a non-empty string is an id
+def _null_id(doc):
+    doc["curves"][0]["id"] = None
+
+
+def _numeric_id(doc):
+    doc["curves"][0]["id"] = 5
+
+
+def _missing_id(doc):
+    del doc["curves"][0]["id"]
+
+
 @pytest.mark.parametrize("mutate", [_drop_outer, _short_gadget_probe, _curves_not_a_list,
                                     _level_not_an_int, _level_skips_outer,
                                     _zero_width_probe, _curve_id_twice,
-                                    _tree_member_twice])
+                                    _tree_member_twice, _null_id, _numeric_id,
+                                    _missing_id])
 def test_malformed_double_curve_file(tmp_path, capsys, mutate):
     doc = familyfile.burling_to_jsonable(generate(2))
     mutate(doc)
@@ -161,6 +175,9 @@ def test_overlapping_double_curves(tmp_path, capsys, command):
 @pytest.mark.parametrize("body", [
     b"\xff\xfe{}",
     b'{"scale": 1, "kind": "two_t", "t": "x", "curves": []}',
+    b'{"scale": 1, "kind": "one_curve", "curves": [{"id": null, "points": [[0, 0], [0, 1]]}]}',
+    b'{"scale": 1, "kind": "one_curve", "curves": [{"id": 5, "points": [[0, 0], [0, 1]]}]}',
+    b'{"scale": 1, "kind": "one_curve", "curves": [{"points": [[0, 0], [0, 1]]}]}',
 ])
 def test_malformed_family_file(tmp_path, capsys, body):
     path = tmp_path / "bad.json"
@@ -252,11 +269,12 @@ class TestCli:
         assert main(["audit-burling", fam_path, "--coloring", col_path]) == 0
         assert main(["audit-burling", fam_path, "--greedy-seed", "11"]) == 0
 
+    # sha256 of gen-burling files, pinned with the rank-compressed layout
     @pytest.mark.parametrize("k, digest", [
-        (1, "36b0166c224b6b7acaa6b33a77ab5efa6998981252db892526c36468f8aaaaaf"),
-        (2, "a59c66c4f20675b6770c1faf313bcac2a010df84ab37a67f57e66310621a7bcb"),
-        (3, "827901bbe4805a0d4409b0fe384cd758c1a6eecfc9d46e0266d89116d9e6035d"),
-        (4, "5a00d50871ca4766259dee979bb5f28eb1b06338f925c4c568285316951d2204"),
+        (1, "aba3a2c215a1de5284ee877b212448fe8b932eb1ad012c7a891d3fc66fd3647d"),
+        (2, "e2716dc168a52c5c5b984cd7b054d1a32d658017e0e8fdf8615ddb3762782f0b"),
+        (3, "40d3d27af206c850a18341dd9827049da353123a01b46eafeb061a4f121fdbca"),
+        (4, "7eead02291677b5785f8e7797e4b5c6f855e175938463eb8bf68b68c3b75b6c2"),
     ])
     def test_gen_golden_bytes(self, tmp_path, k, digest):
         path = tmp_path / f"x{k}.json"
@@ -311,11 +329,13 @@ class TestCli:
         assert ("FAIL probes-avoid-left-parts" in report.read_text()) == bool(code)
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
+    # sha256 of audit-burling stdout on X_4, pinned with the rank-compressed
+    # layout: the same probes and colours as before, at rank coordinates
     @pytest.mark.parametrize("mode, digest", [
-        ("1", "1abe55dc13452f99e9618cc10b942dd1291d3b72f2ba4282773ed8b105293d29"),
-        ("7", "91071e330f71f41748d2fd91709078c5c6156afb195211de9572267c25339c84"),
-        ("9001", "d230ea3844505b646af7c3167b458eaf10db3eec74f54792eb1c905a09868243"),
-        ("exact", "486fe33e5e675b97a4f3c01075819e06bee6a54d9daa5577cc8554989337b2f9"),
+        ("1", "8492616a91f0e391268d0441358e147eacdeccefea3d75e990b5d92338192fae"),
+        ("7", "10378a0ff79915fb3483e3e49cafa69301d8f8eafc32797757339cb85f7f4d6e"),
+        ("9001", "b9729e7ff56582a7430d70867d23b1c20ec1897bf252f0ae354fab78d892299e"),
+        ("exact", "2e465e46365109d29af8c7efc07a0b24f6b6b5516609c5b3affd8495c5cdbdd8"),
     ])
     def test_audit_golden_stdout(self, tmp_path, capsys, mode, digest):
         fam_path = str(tmp_path / "x4.json")
@@ -332,10 +352,10 @@ class TestCli:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_gen_unrealizable_level(self, tmp_path, capsys):
-        assert main(["gen-burling", "--k", "5", "--out", str(tmp_path / "x5.json")]) == 2
-        assert "ScaleOverflow" in capsys.readouterr().err
+        assert main(["gen-burling", "--k", "6", "--out", str(tmp_path / "x6.json")]) == 2
+        assert "ContractError: level 6 has 2375752501 double-curves" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
-            main(["gen-burling", "--k", "5", "--out", str(tmp_path / "x5.json"),
+            main(["gen-burling", "--k", "6", "--out", str(tmp_path / "x6.json"),
                   "--allow-beyond-cap"])
         assert exc.value.code == 2
         assert "--allow-beyond-cap" in capsys.readouterr().err
