@@ -232,9 +232,10 @@ def _scan(members, probes):
             for p in probes]
 
 
-# X_2 drawn on a grid _GRID times finer: every crafted strip end below is an
-# x of X_2 moved by less than _GRID, so it keeps its order against every x of
-# the instance, and with it its hits, however tightly the generator packs them
+# X_2 drawn on a grid _GRID times finer: every crafted strip end below lies
+# beyond all curves or is an x of X_2 moved by less than _GRID, so it keeps
+# its order against every x of the instance, and with it its hits, however
+# tightly the generator packs them
 _GRID = 4
 
 
