@@ -235,3 +235,60 @@ class TestGraphStructure:
             parse_edge_list("3 1\n0 5\n")
         with pytest.raises(FileFormatError):
             parse_edge_list("")
+
+
+def _grotzsch():
+    """Mycielski's graph of C5: triangle-free with chromatic number 4."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    edges += [(5 + i, 10) for i in range(5)]
+    return graph_from_edges(11, edges)
+
+
+def _gnp(seed, n, p):
+    rng = random.Random(seed)
+    return graph_from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                if rng.random() < p])
+
+
+def _search_record(g):
+    """Every output of the exact solvers on g, with the nodes each one used."""
+    def run(fn, *args):
+        budget = Budget(10 ** 8)
+        result = fn(g, *args, budget=budget)
+        return result, 10 ** 8 - budget.remaining
+
+    (chi, witness), nodes = run(chromatic_number)
+    rows = [f"chi {chi} {witness.colors} {nodes}"]
+    for c in (chi - 1, chi):
+        if c >= 0:
+            result, nodes = run(chromatic_decision, c)
+            rows.append(f"dec {c} {result and result.colors} {nodes}")
+    clique, nodes = run(maximum_clique)
+    rows.append(f"clique {clique} {nodes}")
+    return "\n".join(rows)
+
+
+# sha256 over _search_record of a fixed graph set, pinned with the recursive
+# trail-based search; any change to the search tree, the witnesses or the
+# node counts changes it.
+SEARCH_DIGEST = "944ab7c4e4d683580d6708a18e246e33e7b929bdf44914fb3e13eb144161f850"
+
+
+def _digest_graphs():
+    from curvefam.burling import generate
+    from generators import graph_with_chi_above
+
+    graphs = [K(4), C(5), _grotzsch(), generate(3).graph(), generate(4).graph()]
+    graphs += [graph_with_chi_above(random.Random(seed), 2 + seed % 3) for seed in range(6)]
+    graphs += [_gnp(seed, 20 + 5 * seed, 0.25 + 0.1 * seed) for seed in range(6)]
+    graphs += [_gnp(seed, 60, 0.1) for seed in range(2)]
+    return graphs
+
+
+def test_search_digest():
+    import hashlib
+
+    text = "\n\n".join(_search_record(g) for g in _digest_graphs())
+    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_DIGEST
+
