@@ -1,15 +1,15 @@
 """Intersection graphs and exact solvers for clique and chromatic number.
 
 Graphs are stored as per-vertex adjacency bitmasks. The solvers are exact
-branch-and-bound procedures sized for the instances this toolkit produces
-(a few hundred vertices); both honor a node budget and raise
-SolverBudgetExceeded with their best bounds when it runs out.
+branch-and-bound searches over bitset states, run from an explicit stack, so
+their depth is bounded by memory and not by Python's recursion limit; both
+honor a node budget and raise SolverBudgetExceeded with their best bounds
+when it runs out.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -81,21 +81,16 @@ class IntersectionGraph:
         return bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
+        return self.adj[v].bit_count()
 
     def edges(self):
         for u in range(self.n):
-            m = self.adj[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    yield (u, v)
-                m >>= 1
-                v += 1
+            for v in _bits(self.adj[u] >> (u + 1) << (u + 1)):
+                yield (u, v)
 
     @property
     def m(self) -> int:
-        return sum(1 for _ in self.edges())
+        return sum(a.bit_count() for a in self.adj) // 2
 
 
 def graph_from_edges(n: int, edges: Iterable, labels=None) -> IntersectionGraph:
@@ -123,12 +118,13 @@ def induced_subgraph(G: IntersectionGraph, vertices: Sequence[int]):
     """Induced subgraph plus the list mapping new indices to old."""
     vs = list(vertices)
     index = {v: i for i, v in enumerate(vs)}
+    keep = 0
+    for v in vs:
+        keep |= 1 << v
     adj = [0] * len(vs)
     for i, v in enumerate(vs):
-        m = G.adj[v]
-        for j, u in enumerate(vs):
-            if (m >> u) & 1:
-                adj[i] |= 1 << j
+        for u in _bits(G.adj[v] & keep):
+            adj[i] |= 1 << index[u]
     return IntersectionGraph(len(vs), tuple(adj),
                              tuple(G.labels[v] for v in vs)), vs
 
@@ -161,14 +157,19 @@ def greedy_coloring(G: IntersectionGraph, order: Sequence[int]) -> Coloring:
     """First-fit proper coloring along the given vertex order."""
     if sorted(order) != list(range(G.n)):
         raise ContractError("order must be a permutation of the vertices")
-    colors = [-1] * G.n
+    return Coloring(tuple(_first_fit(G.adj, [-1] * G.n, order)))
+
+
+def _first_fit(adj, colors: list, order) -> list:
+    """Give each vertex of order in turn the least color that none of its
+    neighbors has; -1 marks an uncolored vertex."""
     for v in order:
-        used = {colors[u] for u in _bits(G.adj[v]) if colors[u] >= 0}
+        used = {colors[u] for u in _bits(adj[v])}
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-    return Coloring(tuple(colors))
+    return colors
 
 
 def _bits(mask: int):
@@ -218,27 +219,33 @@ def maximum_clique(G: IntersectionGraph, budget=None) -> list:
     budget = _as_budget(budget)
     best: list = []
     adj = G.adj
-
-    def expand(r: list, mask: int):
-        nonlocal best
-        budget.tick()
-        order = _color_order(mask, adj)
-        for v, bound in reversed(order):
-            if len(r) + bound <= len(best):
-                return
-            r.append(v)
-            nxt = mask & adj[v]
-            if nxt:
-                expand(r, nxt)
-            elif len(r) > len(best):
-                best = r[:]
-                budget.lower = len(best)
-            r.pop()
-            mask &= ~(1 << v)
-
-    if G.n:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * G.n + 100))
-        expand([], (1 << G.n) - 1)
+    if not G.n:
+        return best
+    # Frame i holds [candidates left, color order left] for the clique r[:i];
+    # candidates are tried from the end of the order, highest color first.
+    r: list = []
+    budget.tick()
+    full = (1 << G.n) - 1
+    stack = [[full, _color_order(full, adj)]]
+    while stack:
+        frame = stack[-1]
+        mask, order = frame
+        if not order or len(r) + order[-1][1] <= len(best):
+            stack.pop()
+            if r:
+                stack[-1][0] &= ~(1 << r.pop())
+            continue
+        v = order.pop()[0]
+        r.append(v)
+        nxt = mask & adj[v]
+        if nxt:
+            budget.tick()
+            stack.append([nxt, _color_order(nxt, adj)])
+            continue
+        if len(r) > len(best):
+            best = r[:]
+            budget.lower = len(best)
+        frame[0] = mask & ~(1 << r.pop())
     return sorted(best)
 
 
@@ -305,114 +312,92 @@ def chromatic_decision(G: IntersectionGraph, c: int, budget=None) -> Optional[Co
             return None
         for i, v in enumerate(mapping):
             colors[v] = sub_colors[i]
-    for v in reversed(removed):
-        used = {colors[u] for u in _bits(G.adj[v]) if colors[u] >= 0}
-        col = 0
-        while col in used:
-            col += 1
-        colors[v] = col
-    return Coloring(tuple(colors))
+    return Coloring(tuple(_first_fit(G.adj, colors, reversed(removed))))
+
+
+def _bit_slices(masks) -> list:
+    """Per-vertex counts of the masks holding each vertex, bit-sliced: bit v
+    of slice i is bit i of the count for vertex v."""
+    slices: list = []
+    for carry in masks:
+        for i, s in enumerate(slices):
+            slices[i], carry = s ^ carry, s & carry
+        if carry:
+            slices.append(carry)
+    return slices
+
+
+def _count_is(slices: list, t: int, within: int) -> int:
+    """The vertices of within whose bit-sliced count equals t."""
+    if t >> len(slices):
+        return 0
+    for i, s in enumerate(slices):
+        within &= s if (t >> i) & 1 else ~s
+    return within
 
 
 def _decide_core(G: IntersectionGraph, c: int, budget: Budget) -> Optional[list]:
-    n = G.n
-    adj = G.adj
-    full = (1 << c) - 1
-    colors = [-1] * n
-    forbid = [0] * n          # bitmask of colors excluded by colored neighbors
-    forbid_count = [0] * n
+    """DSATUR over bitset states (Brelaz 1979; San Segundo 2012).
 
+    A state is (uncolored mask, seen, classes opened, path): seen[k] holds the
+    vertices with a neighbor colored k, and path links each (vertex, color)
+    assignment back to the root. Children are fresh copies, so backtracking
+    drops a state and undoes nothing.
+    """
+    adj = G.adj
     clique = maximum_clique(G, budget)
     if len(clique) > c:
         return None
-    max_used = 0
-    trail = []
-
-    def do_assign(v: int, col: int):
-        nonlocal max_used
-        colors[v] = col
-        bit = 1 << col
-        touched = []
-        for u in _bits(adj[v]):
-            if colors[u] < 0 and not (forbid[u] & bit):
-                forbid[u] |= bit
-                forbid_count[u] += 1
-                touched.append(u)
-        trail.append((v, touched, max_used))
-        max_used = max(max_used, col + 1)
-
-    def undo():
-        nonlocal max_used
-        v, touched, prev_max = trail.pop()
-        bit = 1 << colors[v]
-        for u in touched:
-            forbid[u] &= ~bit
-            forbid_count[u] -= 1
-        colors[v] = -1
-        max_used = prev_max
-
-    for i, v in enumerate(clique):
-        do_assign(v, i)
-
-    degrees = [G.degree(v) for v in range(n)]
-
-    def search() -> bool:
+    degree = _bit_slices(adj)     # v is in adj[u] for each neighbor u of v
+    seen = [0] * c
+    uncolored = (1 << G.n) - 1
+    path = None
+    for col, v in enumerate(clique):
+        seen[col] |= adj[v]
+        uncolored ^= 1 << v
+        path = (v, col, path)
+    stack = [(uncolored, seen, len(clique), path)]
+    while stack:
+        uncolored, seen, opened, path = stack.pop()
         budget.tick()
-        # Unit propagation: saturated vertices fail, forced vertices assign.
-        assigned_here = 0
         while True:
-            forced = -1
-            for v in range(n):
-                if colors[v] >= 0:
-                    continue
-                free = full & ~forbid[v]
-                if free == 0:
-                    for _ in range(assigned_here):
-                        undo()
-                    return False
-                if free & (free - 1) == 0 and forced < 0:
-                    forced = v
-            if forced < 0:
-                break
-            free = full & ~forbid[forced]
-            # forbid only holds opened classes, so a lone free color is
-            # always within reach of the symmetry-broken class order
-            col = (free & -free).bit_length() - 1
-            do_assign(forced, col)
-            assigned_here += 1
-
-        pick = -1
-        best_key = None
-        for v in range(n):
-            if colors[v] < 0:
-                key = (-forbid_count[v], -degrees[v], v)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    pick = v
-        if pick < 0:
-            return True
-
-        free = full & ~forbid[pick]
-        limit = min(c, max_used + 1)   # new color classes open in index order
-        for col in range(limit):
-            if not (free >> col) & 1:
+            count = _bit_slices(seen)
+            if _count_is(count, c, uncolored):
+                break                  # a vertex sees every class
+            forced = _count_is(count, c - 1, uncolored)
+            if forced:
+                # the lowest forced vertex takes its one free class
+                v = (forced & -forced).bit_length() - 1
+                col = next(k for k in range(c) if not (seen[k] >> v) & 1)
+                seen[col] |= adj[v]
+                uncolored ^= 1 << v
+                opened = max(opened, col + 1)
+                path = (v, col, path)
                 continue
-            do_assign(pick, col)
-            if search():
-                return True
-            undo()
-        for _ in range(assigned_here):
-            undo()
-        return False
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-    if search():
-        return colors[:]
+            if not uncolored:
+                colors = [-1] * G.n
+                while path:
+                    v, col, path = path
+                    colors[v] = col
+                return colors
+            # pick: most classes seen, then highest degree, then lowest index
+            pick = uncolored
+            for s in [*reversed(count), *reversed(degree)]:
+                if pick & s:
+                    pick &= s
+            v = (pick & -pick).bit_length() - 1
+            # new classes open in index order; push so the lowest pops first
+            for col in reversed(range(min(c, opened + 1))):
+                if not (seen[col] >> v) & 1:
+                    child = seen[:]
+                    child[col] |= adj[v]
+                    stack.append((uncolored ^ 1 << v, child,
+                                  max(opened, col + 1), (v, col, path)))
+            break
     return None
 
 
-def chromatic_number(G: IntersectionGraph, upper_bound_hint: Optional[int] = None,
-                     budget=None):
+def chromatic_number(G: IntersectionGraph, budget=None):
     """Exact chromatic number with a witness coloring.
 
     The witness is proper and optimal; its specific color classes are not
@@ -425,10 +410,7 @@ def chromatic_number(G: IntersectionGraph, upper_bound_hint: Optional[int] = Non
     lb = clique_number(G, budget)
     heur = _dsatur_heuristic(G)
     ub = heur.num_colors
-    if upper_bound_hint is not None:
-        ub = min(ub, upper_bound_hint)
     budget.lower, budget.upper = lb, ub
-    witness = heur
     for c in range(lb, ub):
         w = chromatic_decision(G, c, budget)
         if w is not None:
@@ -439,7 +421,7 @@ def chromatic_number(G: IntersectionGraph, upper_bound_hint: Optional[int] = Non
                 raise CertificateError(f"witness for chi <= {c} uses {w.num_colors} colors")
             return c, w
         budget.lower = c + 1
-    return ub, witness
+    return ub, heur
 
 
 # Plain edge-list exchange format: header "n m", one edge per line.

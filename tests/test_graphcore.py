@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -126,10 +128,6 @@ class TestChromatic:
         g = K(8)
         with pytest.raises(SolverBudgetExceeded):
             chromatic_number(g, budget=Budget(3))
-
-    def test_upper_bound_hint_respected(self):
-        assert chromatic_number(C(5), upper_bound_hint=3)[0] == 3
-        assert chromatic_number(K(4), upper_bound_hint=4)[0] == 4
 
     def test_kernelization_path(self):
         # a long path hangs off a clique; stripped vertices must recolor fine
@@ -287,8 +285,27 @@ def _digest_graphs():
 
 
 def test_search_digest():
-    import hashlib
-
     text = "\n\n".join(_search_record(g) for g in _digest_graphs())
     assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_DIGEST
 
+
+def _octahedra(k):
+    """k disjoint copies of K_{2,2,2}: 4-regular, 3-chromatic."""
+    return graph_from_edges(6 * k, [
+        (6 * b + u, 6 * b + v) for b in range(k)
+        for u, v in itertools.combinations(range(6), 2) if v != u + 3])
+
+
+@pytest.mark.parametrize("solve, want", [
+    # every vertex survives the c = 4 kernel; the search takes 1,801 nodes
+    (lambda: chromatic_decision(_octahedra(300), 4).num_colors, 3),
+    (lambda: clique_number(K(1200)), 1200),
+], ids=["octahedra", "K1200"])
+def test_deep_search_keeps_recursion_limit(solve, want):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert solve() == want
+        assert sys.getrecursionlimit() == 200
+    finally:
+        sys.setrecursionlimit(saved)
