@@ -17,7 +17,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import burling, familyfile, reductions, svgrender
@@ -33,6 +32,7 @@ from .graphcore import (
     Coloring,
     chromatic_number,
     clique_number,
+    format_edge_list,
     greedy_coloring,
     is_proper,
     parse_edge_list,
@@ -44,19 +44,6 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: budgets, seed and the parsed arguments."""
-
-    node_budget: Optional[int]
-    time_budget_ms: Optional[int]
-    seed: Optional[int]
-    args: argparse.Namespace
-
-    def budget(self) -> Budget:
-        return Budget(self.node_budget, self.time_budget_ms)
-
-
 def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -65,10 +52,14 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _load_graph(cfg: RunConfig):
-    if getattr(cfg.args, "family", None):
-        return familyfile.load(cfg.args.family).graph()
-    with open(cfg.args.graph, "r", encoding="utf-8") as fh:
+def _budget(args: argparse.Namespace) -> Budget:
+    return Budget(args.node_budget, args.time_budget_ms)
+
+
+def _load_graph(args: argparse.Namespace):
+    if args.family:
+        return familyfile.load(args.family).graph()
+    with open(args.graph, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
 
 
@@ -95,19 +86,19 @@ def _coloring_doc(colors: dict) -> str:
     return familyfile.dump_json({"colors": colors, "palette": palette})
 
 
-def _cmd_gen_burling(cfg: RunConfig) -> int:
-    inst = burling.generate(cfg.args.k)
-    familyfile.save(inst, cfg.args.out)
-    if cfg.args.svg:
-        _write(cfg.args.svg, svgrender.render_family(inst))
+def _cmd_gen_burling(args: argparse.Namespace) -> int:
+    inst = burling.generate(args.k)
+    familyfile.save(inst, args.out)
+    if args.svg:
+        _write(args.svg, svgrender.render_family(inst))
     xs, ys = zip(*(p for m in inst.members for part in m.polylines() for p in part.points))
     print(f"generated k={inst.k}: {len(inst.members)} double-curves, "
           f"{len(inst.probes)} probes, max x {max(xs)}, max y {max(ys)}")
     return EXIT_OK
 
 
-def _cmd_verify_family(cfg: RunConfig) -> int:
-    obj = familyfile.load(cfg.args.file)
+def _cmd_verify_family(args: argparse.Namespace) -> int:
+    obj = familyfile.load(args.file)
     lines = []
     ok = True
     if isinstance(obj, burling.BurlingInstance):
@@ -125,52 +116,50 @@ def _cmd_verify_family(cfg: RunConfig) -> int:
                 ok = False
                 lines.extend(res.report_lines())
     text = "\n".join(lines) + "\n"
-    _write(cfg.args.report, text)
-    if cfg.args.report not in (None, "-"):
-        print(f"report written to {cfg.args.report}")
+    _write(args.report, text)
+    if args.report not in (None, "-"):
+        print(f"report written to {args.report}")
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _cmd_color(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.args.exact:
-        chi, witness = chromatic_number(g, budget=cfg.budget())
+def _cmd_color(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    if args.exact:
+        chi, witness = chromatic_number(g, budget=_budget(args))
         print(chi)
     else:
-        if cfg.seed is None:
+        if args.seed is None:
             raise FileFormatError("--greedy needs --seed")
         order = list(range(g.n))
-        random.Random(cfg.seed).shuffle(order)
+        random.Random(args.seed).shuffle(order)
         witness = greedy_coloring(g, order)
         print(witness.num_colors)
     _check_proper(g, witness)
-    if cfg.args.out:
-        _write(cfg.args.out, _coloring_doc(witness.as_label_map(g)))
+    if args.out:
+        _write(args.out, _coloring_doc(witness.as_label_map(g)))
     return EXIT_OK
 
 
-def _cmd_omega(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.args.export_graph:
-        from .graphcore import format_edge_list
-
-        _write(cfg.args.export_graph, format_edge_list(g))
-    print(clique_number(g, budget=cfg.budget()))
+def _cmd_omega(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    if args.export_graph:
+        _write(args.export_graph, format_edge_list(g))
+    print(clique_number(g, budget=_budget(args)))
     return EXIT_OK
 
 
-def _cmd_audit_burling(cfg: RunConfig) -> int:
-    obj = familyfile.load(cfg.args.file)
+def _cmd_audit_burling(args: argparse.Namespace) -> int:
+    obj = familyfile.load(args.file)
     if not isinstance(obj, burling.BurlingInstance):
         raise FileFormatError("audit-burling needs a double-curve family file")
-    if cfg.args.coloring:
-        cmap = _load_coloring(cfg.args.coloring)
+    if args.coloring:
+        cmap = _load_coloring(args.coloring)
     else:
-        if cfg.seed is None:
+        if args.greedy_seed is None:
             raise FileFormatError("audit-burling needs --coloring or --greedy-seed")
         g = obj.graph()
         order = list(range(g.n))
-        random.Random(cfg.seed).shuffle(order)
+        random.Random(args.greedy_seed).shuffle(order)
         witness = greedy_coloring(g, order)
         cmap = witness.as_label_map(g)
     res = burling.audit_coloring(obj, cmap)
@@ -179,9 +168,9 @@ def _cmd_audit_burling(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_render(cfg: RunConfig) -> int:
-    obj = familyfile.load(cfg.args.file)
-    _write(cfg.args.out, svgrender.render_family(obj))
+def _cmd_render(args: argparse.Namespace) -> int:
+    obj = familyfile.load(args.file)
+    _write(args.out, svgrender.render_family(obj))
     return EXIT_OK
 
 
@@ -191,12 +180,12 @@ def _require_two_t(obj) -> CurveFamily:
     return obj
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
-    sub = cfg.args.reduction
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    sub = args.reduction
     if sub == "component-split":
-        fam = familyfile.load(cfg.args.family)
+        fam = familyfile.load(args.family)
         split = reductions.component_split(fam)
-        coloring = reductions.color_cross_component(split, budget=cfg.budget())
+        coloring = reductions.color_cross_component(split, budget=_budget(args))
         trace = {
             "operation": "component-split",
             "components": [sorted(f"{mid}.{side}" for mid, side in comp)
@@ -206,17 +195,17 @@ def _cmd_reduce(cfg: RunConfig) -> int:
             "cross_component_coloring": coloring.coloring,
             "palette": coloring.palette,
         }
-        _write(cfg.args.out, familyfile.dump_json(trace))
+        _write(args.out, familyfile.dump_json(trace))
         return EXIT_OK
 
     if sub == "rewire":
-        fam = familyfile.load(cfg.args.family)
+        fam = familyfile.load(args.family)
         out = reductions.rewire_semicircles(fam)
-        familyfile.save(out, cfg.args.out)
+        familyfile.save(out, args.out)
         before, after = fam.graph(), out.graph()
         preserved = (before.labels == after.labels and before.adj == after.adj)
-        if cfg.args.trace:
-            _write(cfg.args.trace, familyfile.dump_json({
+        if args.trace:
+            _write(args.trace, familyfile.dump_json({
                 "operation": "rewire",
                 "members": out.ids(),
                 "lr_certified": True,
@@ -227,12 +216,12 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         return EXIT_OK
 
     if sub == "split-2t":
-        fam = _require_two_t(familyfile.load(cfg.args.family))
+        fam = _require_two_t(familyfile.load(args.family))
         f1, f2 = reductions.split_2t(fam)
-        familyfile.save(f1, cfg.args.out1)
-        familyfile.save(f2, cfg.args.out2)
-        if cfg.args.trace:
-            _write(cfg.args.trace, familyfile.dump_json({
+        familyfile.save(f1, args.out1)
+        familyfile.save(f2, args.out2)
+        if args.trace:
+            _write(args.trace, familyfile.dump_json({
                 "operation": "split-2t",
                 "t": fam.t,
                 "derived_kinds": [f1.kind.value, f2.kind.value],
@@ -241,39 +230,35 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         return EXIT_OK
 
     if sub == "product-color":
-        fam = _require_two_t(familyfile.load(cfg.args.family))
-        budget = cfg.budget()
-        coloring = reductions.two_t_product_coloring(fam, budget=budget)
+        fam = _require_two_t(familyfile.load(args.family))
+        coloring = reductions.two_t_product_coloring(fam, budget=_budget(args))
         g = fam.graph()
         _check_proper(g, Coloring(tuple(coloring[m.id] for m in fam.members)))
-        _write(cfg.args.out, _coloring_doc(coloring))
+        _write(args.out, _coloring_doc(coloring))
         return EXIT_OK
 
-    if sub == "mcguinness":
-        g = _load_graph(cfg)
-        order = list(range(g.n))
-        if cfg.seed is not None:
-            random.Random(cfg.seed).shuffle(order)
-        res = reductions.mcguinness_subgraph(g, order, cfg.args.alpha,
-                                             cfg.args.beta, budget=cfg.budget())
-        trace = {
-            "operation": "mcguinness",
-            "alpha": cfg.args.alpha,
-            "beta": cfg.args.beta,
-            "chi_host": res.chi_host,
-            "threshold": res.threshold,
-            "blocks": [list(b) for b in res.blocks],
-            "class_index": res.class_index,
-            "parity": res.parity,
-            "h_vertices": list(res.h_vertices),
-            "chi_h": res.chi_h,
-            "edge_between_chi": {f"{u},{v}": chi
-                                 for (u, v), chi in sorted(res.edge_between_chi.items())},
-        }
-        _write(cfg.args.out, familyfile.dump_json(trace))
-        return EXIT_OK
-
-    raise FileFormatError(f"unknown reduction {sub!r}")
+    # mcguinness, the last of the parser's choices
+    g = _load_graph(args)
+    order = list(range(g.n))
+    if args.seed is not None:
+        random.Random(args.seed).shuffle(order)
+    res = reductions.mcguinness_subgraph(g, order, args.alpha, args.beta, budget=_budget(args))
+    trace = {
+        "operation": "mcguinness",
+        "alpha": args.alpha,
+        "beta": args.beta,
+        "chi_host": res.chi_host,
+        "threshold": res.threshold,
+        "blocks": [list(b) for b in res.blocks],
+        "class_index": res.class_index,
+        "parity": res.parity,
+        "h_vertices": list(res.h_vertices),
+        "chi_h": res.chi_h,
+        "edge_between_chi": {f"{u},{v}": chi
+                             for (u, v), chi in sorted(res.edge_between_chi.items())},
+    }
+    _write(args.out, familyfile.dump_json(trace))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,21 +330,13 @@ _HANDLERS = {
     "audit-burling": _cmd_audit_burling,
     "render": _cmd_render,
 }
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    seed = getattr(args, "seed", None)
-    if getattr(args, "greedy_seed", None) is not None:
-        seed = args.greedy_seed
-    cfg = RunConfig(
-        node_budget=args.node_budget,
-        time_budget_ms=args.time_budget_ms,
-        seed=seed,
-        args=args,
-    )
+    args = _PARSER.parse_args(argv)
     try:
-        return _HANDLERS[args.command](cfg)
+        return _HANDLERS[args.command](args)
     except SolverBudgetExceeded as exc:
         print(f"error: SolverBudgetExceeded: {exc} "
               f"(bounds {exc.lower}..{exc.upper})", file=sys.stderr)

@@ -99,19 +99,21 @@ def decompose_even_curve(c: Polyline) -> EvenCurve:
     reproduces the stored curve vertex for vertex.
     """
     validate_simple(c)
-    crossings = baseline_crossings_along(c)
-    if len(crossings) == 0 or c.points[0].y == 0 or c.points[-1].y == 0:
-        raise OddCrossingError(f"curve {c.id!r} is not an even-curve")
-    if len(crossings) % 2 != 0:
-        raise OddCrossingError(
-            f"curve {c.id!r} crosses the baseline {len(crossings)} times")
-
-    if crossings[0][0].x > crossings[-1][0].x:
-        c = c.reversed()
-
+    # The scan rejects tangencies and baseline edges, so every interior
+    # vertex of the refined curve on the baseline is a crossing.
     refined = refine_at_crossings(c)
     pts = refined.points
     cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
+    if len(cross_idx) == 0 or pts[0].y == 0 or pts[-1].y == 0:
+        raise OddCrossingError(f"curve {c.id!r} is not an even-curve")
+    if len(cross_idx) % 2 != 0:
+        raise OddCrossingError(
+            f"curve {c.id!r} crosses the baseline {len(cross_idx)} times")
+
+    if pts[cross_idx[0]].x > pts[cross_idx[-1]].x:
+        refined = refined.reversed()
+        pts = refined.points
+        cross_idx = [len(pts) - 1 - i for i in reversed(cross_idx)]
     i1, i2 = cross_idx[0], cross_idx[-1]
     left = Polyline(pts[:i1 + 1], c.id)
     middle = Polyline(pts[i1:i2 + 1], c.id)

@@ -16,6 +16,7 @@ fixed separators, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from typing import Union
 
@@ -111,8 +112,6 @@ def _integerizing_factor(polylines) -> int:
     rational vertices; files store integers in units of 1/scale, so the
     writer rescales and records the factor in the scale header.
     """
-    import math
-
     factor = 1
     for poly in polylines:
         for p in poly.points:
@@ -122,10 +121,10 @@ def _integerizing_factor(polylines) -> int:
     return factor
 
 
-def family_to_jsonable(fam: CurveFamily, scale: int = 1) -> dict:
+def family_to_jsonable(fam: CurveFamily) -> dict:
     factor = _integerizing_factor(m.curve for m in fam.members)
     doc = {
-        "scale": scale * factor,
+        "scale": factor,
         "kind": _KIND_STRINGS[fam.kind],
         "curves": [{"id": m.id, "points": _points_to_json(m.curve, factor)}
                    for m in fam.members],
@@ -252,11 +251,11 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
     return inst
 
 
-def save(obj: Union[CurveFamily, BurlingInstance], path: str, scale: int = 1) -> None:
+def save(obj: Union[CurveFamily, BurlingInstance], path: str) -> None:
     if isinstance(obj, BurlingInstance):
         doc = burling_to_jsonable(obj)
     else:
-        doc = family_to_jsonable(obj, scale)
+        doc = family_to_jsonable(obj)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_json(doc))
 

@@ -14,7 +14,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import CertificateError, ContractError, ImproperColoring, SolverBudgetExceeded
+from .errors import (
+    CertificateError,
+    ContractError,
+    FileFormatError,
+    ImproperColoring,
+    SolverBudgetExceeded,
+)
 
 ENV_NODE_BUDGET = "CURVEFAM_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -179,23 +185,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _dsatur_heuristic(G: IntersectionGraph) -> Coloring:
-    colors = [-1] * G.n
-    neighbor_colors = [set() for _ in range(G.n)]
-    degrees = [G.degree(v) for v in range(G.n)]
-    for _ in range(G.n):
-        v = max((u for u in range(G.n) if colors[u] < 0),
-                key=lambda u: (len(neighbor_colors[u]), degrees[u], -u))
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        for u in _bits(G.adj[v]):
-            if colors[u] < 0:
-                neighbor_colors[u].add(c)
-    return Coloring(tuple(colors))
-
-
 # Maximum clique: branch and bound with a greedy coloring bound.
 
 def _color_order(mask: int, adj) -> list:
@@ -336,6 +325,35 @@ def _count_is(slices: list, t: int, within: int) -> int:
     return within
 
 
+def _dsatur_pick(uncolored: int, count: list, degree: list) -> int:
+    """The DSATUR pick among uncolored, given bit-sliced counts of classes
+    seen and of degrees: most classes seen, then highest degree, then lowest
+    index."""
+    pick = uncolored
+    for s in [*reversed(count), *reversed(degree)]:
+        if pick & s:
+            pick &= s
+    return (pick & -pick).bit_length() - 1
+
+
+def _dsatur_heuristic(G: IntersectionGraph) -> Coloring:
+    """DSATUR without backtracking: each pick takes its least free class."""
+    adj = G.adj
+    colors = [-1] * G.n
+    degree = _bit_slices(adj)
+    seen: list = []           # seen[k]: the vertices with a neighbor colored k
+    uncolored = (1 << G.n) - 1
+    while uncolored:
+        v = _dsatur_pick(uncolored, _bit_slices(seen), degree)
+        col = next((k for k, s in enumerate(seen) if not (s >> v) & 1), len(seen))
+        if col == len(seen):
+            seen.append(0)
+        seen[col] |= adj[v]
+        colors[v] = col
+        uncolored ^= 1 << v
+    return Coloring(tuple(colors))
+
+
 def _decide_core(G: IntersectionGraph, c: int, budget: Budget) -> Optional[list]:
     """DSATUR over bitset states (Brelaz 1979; San Segundo 2012).
 
@@ -380,12 +398,7 @@ def _decide_core(G: IntersectionGraph, c: int, budget: Budget) -> Optional[list]
                     v, col, path = path
                     colors[v] = col
                 return colors
-            # pick: most classes seen, then highest degree, then lowest index
-            pick = uncolored
-            for s in [*reversed(count), *reversed(degree)]:
-                if pick & s:
-                    pick &= s
-            v = (pick & -pick).bit_length() - 1
+            v = _dsatur_pick(uncolored, count, degree)
             # new classes open in index order; push so the lowest pops first
             for col in reversed(range(min(c, opened + 1))):
                 if not (seen[col] >> v) & 1:
@@ -433,8 +446,6 @@ def format_edge_list(G: IntersectionGraph) -> str:
 
 
 def parse_edge_list(text: str) -> IntersectionGraph:
-    from .errors import FileFormatError
-
     rows = [ln for ln in (s.strip() for s in text.splitlines())
             if ln and not ln.startswith("#")]
     if not rows:

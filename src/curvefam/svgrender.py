@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .burling import BurlingInstance
+
 VIEW_W = 1000
 
 
@@ -16,7 +18,7 @@ def _fmt(v: Fraction) -> str:
     return f"{float(v):.3f}"
 
 
-def render_svg(polylines, probes=(), baseline=True) -> str:
+def render_svg(polylines, probes=()) -> str:
     """Render polylines (any objects with .points) and probe strips to SVG."""
     xs, ys = [], []
     for poly in polylines:
@@ -53,10 +55,9 @@ def render_svg(polylines, probes=(), baseline=True) -> str:
         parts.append(
             f'<rect x="{_fmt(x0)}" y="{_fmt(probe_top)}" width="{_fmt(x1 - x0)}" '
             f'height="{_fmt(probe_bot - probe_top)}" fill="#cccccc" fill-opacity="0.55"/>')
-    if baseline:
-        parts.append(
-            f'<line x1="{_fmt(tx(minx))}" y1="{_fmt(ty(0))}" x2="{_fmt(tx(maxx))}" '
-            f'y2="{_fmt(ty(0))}" stroke="#888888" stroke-width="1"/>')
+    parts.append(
+        f'<line x1="{_fmt(tx(minx))}" y1="{_fmt(ty(0))}" x2="{_fmt(tx(maxx))}" '
+        f'y2="{_fmt(ty(0))}" stroke="#888888" stroke-width="1"/>')
     for poly in polylines:
         pts = " ".join(f"{_fmt(tx(p.x))},{_fmt(ty(p.y))}" for p in poly.points)
         parts.append(
@@ -67,8 +68,6 @@ def render_svg(polylines, probes=(), baseline=True) -> str:
 
 def render_family(obj) -> str:
     """Render a CurveFamily or BurlingInstance."""
-    from .burling import BurlingInstance
-
     if isinstance(obj, BurlingInstance):
         polys = [p for m in obj.members for p in m.polylines()]
         return render_svg(polys, obj.probes)

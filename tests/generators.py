@@ -128,6 +128,20 @@ def graph_with_chi_above(rng: random.Random, threshold: int) -> IntersectionGrap
     return graph_from_edges(n, sorted(edges))
 
 
+def mycielskian(k: int) -> IntersectionGraph:
+    """Mycielski's graph M_k (k >= 2): triangle-free with chromatic number k.
+
+    M_2 is K_2; M_(k+1) adds a shadow u_i of each vertex v_i, adjacent to
+    the neighbors of v_i, and one hub adjacent to every shadow.
+    """
+    n, edges = 2, [(0, 1)]
+    for _ in range(k - 2):
+        edges = (edges + [(n + u, v) for u, v in edges] + [(u, n + v) for u, v in edges]
+                 + [(n + i, 2 * n) for i in range(n)])
+        n = 2 * n + 1
+    return graph_from_edges(n, edges)
+
+
 def proper_colorings(G: IntersectionGraph, max_colors: int):
     """All proper colorings of G with colors drawn from 0..max_colors-1."""
     for assign in itertools.product(range(max_colors), repeat=G.n):

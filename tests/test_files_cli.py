@@ -14,8 +14,8 @@ from curvefam.cli import main
 from curvefam.errors import FileFormatError
 from curvefam.families import CurveFamily, FamilyKind, decompose_even_curve
 from curvefam.geometry import Point as P, Polyline
-from curvefam.graphcore import Coloring, build_graph
-from generators import lr_family, two_t_family
+from curvefam.graphcore import Coloring, build_graph, format_edge_list
+from generators import graph_with_chi_above, lr_family, mycielskian, two_t_family
 
 
 class TestFamilyFiles:
@@ -217,19 +217,23 @@ def _write_two_t(tmp_path) -> str:
     return path
 
 
+def _src_env() -> dict:
+    """The environment for a subprocess that imports this curvefam."""
+    src = os.path.dirname(os.path.dirname(curvefam.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestCertificateChecks:
     """Certificates are rechecked by raises that survive `python -O`."""
 
     def test_color_under_optimize_flag(self, tmp_path):
         fam_path, col_path = str(tmp_path / "x3.json"), str(tmp_path / "col.json")
         familyfile.save(generate(3), fam_path)
-        src = os.path.dirname(os.path.dirname(curvefam.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "curvefam.cli", "color", "--exact",
              "--family", fam_path, "--out", col_path],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=_src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "3\n"
         doc = json.loads(open(col_path).read())
@@ -425,6 +429,15 @@ class TestCli:
         assert main(["--node-budget", "1", "color", "--exact",
                      "--family", fam_path]) == 3
 
+    def test_time_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # chi(M_6) = 6 takes about 111,000 solver nodes, far past 1 ms
+        path = tmp_path / "m6.txt"
+        path.write_text(format_edge_list(mycielskian(6)))
+        monkeypatch.delenv("CURVEFAM_NODE_BUDGET", raising=False)
+        assert main(["--time-budget-ms", "1", "color", "--exact",
+                     "--graph", str(path)]) == 3
+        assert "solver time budget exhausted" in capsys.readouterr().err
+
     def test_color_edge_list_k4(self, tmp_path, capsys):
         path = tmp_path / "k4.txt"
         path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
@@ -507,3 +520,38 @@ class TestCli:
         doc = json.loads(open(trace).read())
         assert doc["chi_h"] > 1
         assert all(v > 1 for v in doc["edge_between_chi"].values())
+
+
+class TestOneParserPerProcess:
+    """Later main() calls in one process see none of an earlier call's flags."""
+
+    def test_greedy_seed_not_kept(self, tmp_path, capsys):
+        path = tmp_path / "k4.txt"
+        path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        assert main(["color", "--greedy", "--seed", "7", "--graph", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["color", "--greedy", "--graph", str(path)]) == 4
+        assert "--greedy needs --seed" in capsys.readouterr().err
+
+    def test_audit_greedy_seed_not_kept(self, tmp_path, capsys):
+        fam_path = str(tmp_path / "x2.json")
+        familyfile.save(generate(2), fam_path)
+        assert main(["audit-burling", fam_path, "--greedy-seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["audit-burling", fam_path]) == 4
+        assert "needs --coloring or --greedy-seed" in capsys.readouterr().err
+
+    def test_mcguinness_seed_not_kept(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(graph_with_chi_above(random.Random(2), 4)))
+        seeded, later, fresh = (str(tmp_path / f"{name}.json")
+                                for name in ("seeded", "later", "fresh"))
+        argv = ["reduce", "mcguinness", "--graph", str(path)]
+        assert main([*argv, "--seed", "3", "--out", seeded]) == 0
+        assert main([*argv, "--out", later]) == 0
+        proc = subprocess.run([sys.executable, "-m", "curvefam.cli", *argv, "--out", fresh],
+                              env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        body = {p: open(p, "rb").read() for p in (seeded, later, fresh)}
+        assert body[later] == body[fresh]
+        assert body[seeded] != body[fresh]     # the seed changes the trace
