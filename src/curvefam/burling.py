@@ -141,7 +141,7 @@ class BurlingInstance:
 
     @cached_property
     def pairs(self) -> dict:
-        """The instance's pair map, computed on first use; see pair_points."""
+        """The part-labelled pair map, computed on first use; see pair_points."""
         return pair_points(self.members)
 
     def graph(self) -> IntersectionGraph:

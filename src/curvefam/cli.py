@@ -57,8 +57,10 @@ def _budget(args: argparse.Namespace) -> Budget:
 
 
 def _load_graph(args: argparse.Namespace):
-    if args.family:
+    if args.family is not None:
         return familyfile.load(args.family).graph()
+    if args.graph is None:
+        raise FileFormatError("reduce mcguinness needs --family or --graph")
     with open(args.graph, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
 
@@ -180,8 +182,16 @@ def _require_two_t(obj) -> CurveFamily:
     return obj
 
 
+# The flags each reduction reads; argparse cannot require a flag per choice.
+_REDUCE_FLAGS = {"component-split": ("family",), "rewire": ("family", "out"),
+                 "split-2t": ("family", "out1", "out2"), "product-color": ("family",)}
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
     sub = args.reduction
+    for flag in _REDUCE_FLAGS.get(sub, ()):
+        if getattr(args, flag) is None:
+            raise FileFormatError(f"reduce {sub} needs --{flag}")
     if sub == "component-split":
         fam = familyfile.load(args.family)
         split = reductions.component_split(fam)

@@ -30,15 +30,6 @@ from .families import (
 )
 from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline
 
-_KIND_STRINGS = {
-    FamilyKind.ONE_CURVE: "one_curve",
-    FamilyKind.EVEN: "even",
-    FamilyKind.TWO_T: "two_t",
-    FamilyKind.LR: "lr",
-    FamilyKind.LR2: "lr2",
-}
-_KINDS_BY_STRING = {v: k for k, v in _KIND_STRINGS.items()}
-
 
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -125,7 +116,7 @@ def family_to_jsonable(fam: CurveFamily) -> dict:
     factor = _integerizing_factor(m.curve for m in fam.members)
     doc = {
         "scale": factor,
-        "kind": _KIND_STRINGS[fam.kind],
+        "kind": fam.kind.value,
         "curves": [{"id": m.id, "points": _points_to_json(m.curve, factor)}
                    for m in fam.members],
     }
@@ -135,10 +126,10 @@ def family_to_jsonable(fam: CurveFamily) -> dict:
 
 
 def family_from_jsonable(doc: dict) -> CurveFamily:
-    kind_s = doc.get("kind")
-    if kind_s not in _KINDS_BY_STRING:
-        raise FileFormatError(f"unknown family kind {kind_s!r}")
-    kind = _KINDS_BY_STRING[kind_s]
+    try:
+        kind = FamilyKind(doc.get("kind"))
+    except ValueError:
+        raise FileFormatError(f"unknown family kind {doc.get('kind')!r}") from None
     t = doc.get("t")
     if t is not None:
         _typed(t, int, "t")

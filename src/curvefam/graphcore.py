@@ -112,7 +112,7 @@ def graph_from_edges(n: int, edges: Iterable, labels=None) -> IntersectionGraph:
 
 
 def build_graph(members) -> IntersectionGraph:
-    """Intersection graph of members exposing .id and .polylines(), read off
+    """Intersection graph of members exposing .id and .parts(), read off
     their pair map (families.pair_points)."""
     from .families import pair_points
 

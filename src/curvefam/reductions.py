@@ -26,7 +26,6 @@ from .errors import (
 from .families import (
     CurveFamily,
     FamilyKind,
-    _parts_at,
     decompose_even_curve,
     make_one_curve,
     validate_lr,
@@ -85,8 +84,8 @@ def component_split(fam: CurveFamily) -> ComponentSplit:
     Since each 1-curve is connected, two of them share a component exactly
     when a chain of pairwise intersections links them; union-find over the
     intersecting pairs therefore reproduces the components of the union.
-    The pairs are read off the family's pair map: 1-curves 2i and 2i + 1
-    are the left and right of member i.
+    The meeting parts are read off the family's part-labelled pair map:
+    1-curves 2i and 2i + 1 are the left and right of member i.
     """
     if getattr(fam, "kind", None) is FamilyKind.ONE_CURVE:
         raise ContractError("component_split needs even-curves or double-curves")
@@ -99,12 +98,10 @@ def component_split(fam: CurveFamily) -> ComponentSplit:
         keys.extend(((m.id, "L"), (m.id, "R")))
     side = {"L": 0, "R": 1}
     meeting = set()
-    for (i, j), pts in fam.pairs.items():
-        for p in pts:
-            for a in _parts_at(fam.members[i], p):
-                for b in _parts_at(fam.members[j], p):
-                    if a in side and b in side:
-                        meeting.add((2 * i + side[a], 2 * j + side[b]))
+    for (i, j), hits in fam.pairs.items():
+        for _, on_i, on_j in hits:
+            meeting.update((2 * i + side[a], 2 * j + side[b])
+                           for a in on_i if a in side for b in on_j if b in side)
     uf = _UnionFind(len(keys))
     for a, b in sorted(meeting):
         uf.union(a, b)
@@ -270,12 +267,12 @@ def split_2t(fam: CurveFamily):
     t = fam.t
     ms = fam.members
     meets = [[] for _ in ms]             # points where other members meet member i
-    for (i, j), pts in fam.pairs.items():
-        for p in pts:
+    for (i, j), hits in fam.pairs.items():
+        for p, _, _ in hits:
             if p.y < 0:
                 raise BelowBaselineIntersectionError(ms[i].id, ms[j].id, p)
-        meets[i].extend(pts)
-        meets[j].extend(pts)
+            meets[i].append(p)
+            meets[j].append(p)
 
     f1, f2 = [], []
     for m, hits in zip(ms, meets):

@@ -52,10 +52,10 @@ class TestGenerate:
         assert polyline_meets_vstrip(m.right, p.x_lo, p.x_hi)
         assert crossing_set(inst, p) == [m.id]
 
-    def test_k5_overflows_scale_contract(self):
-        # the name predates the rank layout, under which X_5 is realized: its
-        # affine layout needed scale 2**107, beyond the 2**62 contract. The
-        # budget is on CPU time, so a busy shared host does not fail it.
+    def test_k5_realized(self):
+        # the rank layout realizes X_5, whose affine layout needed scale
+        # 2**107, beyond the 2**62 contract. The budgets are on CPU time, so a
+        # busy shared host does not fail them.
         start = time.process_time()
         inst = generate(5)
         assert time.process_time() - start < 10.0
@@ -67,6 +67,14 @@ class TestGenerate:
                   x for q in inst.probes for x in q.as_pair()]
         assert all(type(v) is int for v in coords)
         assert min(v for v in coords if v) == 1 and min(coords) == 0
+        # the segment sweep builds the pair map; each meeting is a left
+        # 1-curve on a right one
+        start = time.process_time()
+        pairs = inst.pairs
+        assert time.process_time() - start < 4.0
+        assert len(pairs) == 135_875
+        assert {(on_i, on_j) for hits in pairs.values()
+                for _, on_i, on_j in hits} <= {("L", "R"), ("R", "L")}
 
     def test_cap_and_hard_cap(self):
         # every k >= 6 has too many double-curves to build (X_6 has

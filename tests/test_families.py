@@ -169,12 +169,21 @@ class TestPairPoints:
 
     @staticmethod
     def check(members):
+        from curvefam.geometry import point_on_polyline
+
+        # brute force: every part through p, in "LMR" order; a 1-curve's
+        # left and right are one polyline, so it reads "LR"
+        def on(m, p):
+            parts = (("L", m.left), ("M", getattr(m, "middle", None)), ("R", m.right))
+            return "".join(name for name, poly in parts
+                           if poly is not None and point_on_polyline(p, poly))
+
         ms = list(members)
         want = {}
         for i, j in itertools.combinations(range(len(ms)), 2):
             pts = member_intersections(ms[i], ms[j])
             if pts:
-                want[(i, j)] = pts
+                want[(i, j)] = [(p, on(ms[i], p), on(ms[j], p)) for p in pts]
         got = pair_points(ms)
         assert got == want and list(got) == sorted(got)
         return got
@@ -187,6 +196,21 @@ class TestPairPoints:
             fam = two_t_family(rng, max_members=15)
             assert self.check(fam.members) == fam.pairs
 
+    def test_one_curve_families(self):
+        from curvefam.reductions import split_2t
+
+        rng = random.Random(89)
+        labels = set()
+        for _ in range(4):
+            for half in split_2t(two_t_family(rng, max_members=15)):
+                for ones in split_2t(half):
+                    assert ones.kind is FamilyKind.ONE_CURVE
+                    pairs = self.check(ones.members)
+                    assert pairs == ones.pairs
+                    labels.update(on for hits in pairs.values()
+                                  for _, *ons in hits for on in ons)
+        assert labels == {"LR"}
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_probe_construction(self, k):
         from curvefam.burling import generate
@@ -195,19 +219,20 @@ class TestPairPoints:
         assert self.check(inst.members) == inst.pairs
 
     def test_extents_touching_at_one_x(self):
-        # the arm of a ends at x = 6 on the left segment of b, whose extent
+        # the arm of a ends at x = 6 on the left segment of b, whose box
         # starts at x = 6; b comes first, so the sweep meets the pair as (a, b)
         a = decompose_even_curve(Polyline(
             (P(0, 2), P(0, -1), P(3, -1), P(3, 4), P(6, 4)), "a"))
         b = two_curve("b", 6, 8, top=5)
         far = two_curve("far", 10, 12)
-        assert self.check([b, a, far]) == {(0, 1): [P(6, 4)]}
+        assert self.check([b, a, far]) == {(0, 1): [(P(6, 4), "L", "R")]}
 
     def test_equal_extents(self):
         a = two_curve("a", 0, 10, top=3)
         b = decompose_even_curve(Polyline(
             (P(0, 6), P(2, 6), P(2, -2), P(8, -2), P(8, 1), P(10, 1)), "b"))
-        assert self.check([a, b]) == {(0, 1): [P(2, -1), P(8, -1), P(10, 1)]}
+        assert self.check([a, b]) == {(0, 1): [
+            (P(2, -1), "M", "M"), (P(8, -1), "M", "M"), (P(10, 1), "R", "R")]}
 
     def test_overlap_names_first_pair_in_input_order(self):
         # C shares a bottom segment with both A and B; the sweep reaches

@@ -178,12 +178,32 @@ def test_overlapping_double_curves(tmp_path, capsys, command):
     b'{"scale": 1, "kind": "one_curve", "curves": [{"id": null, "points": [[0, 0], [0, 1]]}]}',
     b'{"scale": 1, "kind": "one_curve", "curves": [{"id": 5, "points": [[0, 0], [0, 1]]}]}',
     b'{"scale": 1, "kind": "one_curve", "curves": [{"points": [[0, 0], [0, 1]]}]}',
+    b'{"scale": 1, "kind": [], "curves": []}',
+    b'{"scale": 1, "kind": {}, "curves": []}',
 ])
 def test_malformed_family_file(tmp_path, capsys, body):
     path = tmp_path / "bad.json"
     path.write_bytes(body)
     assert main(["verify-family", str(path)]) == 4
     assert "FileFormatError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["reduce", "mcguinness"], "--family or --graph"),
+    (["reduce", "component-split"], "--family"),
+    (["reduce", "product-color"], "--family"),
+    (["reduce", "rewire", "--out", "out.json"], "--family"),
+    (["reduce", "rewire", "--family", "missing.json"], "--out"),
+    (["reduce", "split-2t", "--family", "missing.json", "--out2", "out2.json"], "--out1"),
+    (["reduce", "split-2t", "--family", "missing.json", "--out1", "out1.json"], "--out2"),
+])
+def test_reduce_missing_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    # each reduction checks its flags before it opens a file: missing.json
+    # does not exist, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 4
+    assert f"FileFormatError: reduce {argv[1]} needs {flag}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("doc", [
