@@ -233,7 +233,9 @@ def maximum_clique(G: IntersectionGraph, budget=None) -> list:
             continue
         if len(r) > len(best):
             best = r[:]
-            budget.lower = len(best)
+            # only ever raise: the clique of a kernel core may be smaller
+            # than a bound an earlier refutation proved
+            budget.lower = max(budget.lower or 0, len(best))
         frame[0] = mask & ~(1 << r.pop())
     return sorted(best)
 
@@ -304,15 +306,22 @@ def chromatic_decision(G: IntersectionGraph, c: int, budget=None) -> Optional[Co
     return Coloring(tuple(_first_fit(G.adj, colors, reversed(removed))))
 
 
+def _add_to_count(slices: list, carry: int) -> None:
+    """Add one to the bit-sliced count of every vertex in carry, in place."""
+    for i, s in enumerate(slices):
+        if not carry:
+            return
+        slices[i], carry = s ^ carry, s & carry
+    if carry:
+        slices.append(carry)
+
+
 def _bit_slices(masks) -> list:
     """Per-vertex counts of the masks holding each vertex, bit-sliced: bit v
     of slice i is bit i of the count for vertex v."""
     slices: list = []
-    for carry in masks:
-        for i, s in enumerate(slices):
-            slices[i], carry = s ^ carry, s & carry
-        if carry:
-            slices.append(carry)
+    for mask in masks:
+        _add_to_count(slices, mask)
     return slices
 
 
@@ -342,12 +351,17 @@ def _dsatur_heuristic(G: IntersectionGraph) -> Coloring:
     colors = [-1] * G.n
     degree = _bit_slices(adj)
     seen: list = []           # seen[k]: the vertices with a neighbor colored k
+    count: list = []          # bit-sliced number of classes each vertex sees
     uncolored = (1 << G.n) - 1
     while uncolored:
-        v = _dsatur_pick(uncolored, _bit_slices(seen), degree)
-        col = next((k for k, s in enumerate(seen) if not (s >> v) & 1), len(seen))
-        if col == len(seen):
+        v = _dsatur_pick(uncolored, count, degree)
+        for col, s in enumerate(seen):
+            if not (s >> v) & 1:
+                break
+        else:
+            col = len(seen)
             seen.append(0)
+        _add_to_count(count, adj[v] & ~seen[col])
         seen[col] |= adj[v]
         colors[v] = col
         uncolored ^= 1 << v
@@ -357,10 +371,19 @@ def _dsatur_heuristic(G: IntersectionGraph) -> Coloring:
 def _decide_core(G: IntersectionGraph, c: int, budget: Budget) -> Optional[list]:
     """DSATUR over bitset states (Brelaz 1979; San Segundo 2012).
 
-    A state is (uncolored mask, seen, classes opened, path): seen[k] holds the
-    vertices with a neighbor colored k, and path links each (vertex, color)
-    assignment back to the root. Children are fresh copies, so backtracking
-    drops a state and undoes nothing.
+    A state is (uncolored mask, seen, count, classes opened, path): seen[k]
+    holds the vertices with a neighbor colored k, count is the bit-sliced
+    number of classes each vertex sees, carried from parent to child, and
+    path links each (vertex, color) assignment back to the root. Children
+    are fresh copies, so backtracking drops a state and undoes nothing.
+
+    A vertex that sees all c classes is a wipeout; one that sees c - 1 is
+    forced to its free class. Forced vertices are assigned a round at a
+    time. The order of the assignments does not matter: each one only
+    shrinks the free classes of the others, so every forced vertex keeps
+    its one free class or is wiped out, and forward checking reaches the
+    same fixpoint, or a wipeout, in any order. The nodes, the picks and the
+    witness are those of assigning the lowest forced vertex one at a time.
     """
     adj = G.adj
     clique = maximum_clique(G, budget)
@@ -374,23 +397,30 @@ def _decide_core(G: IntersectionGraph, c: int, budget: Budget) -> Optional[list]
         seen[col] |= adj[v]
         uncolored ^= 1 << v
         path = (v, col, path)
-    stack = [(uncolored, seen, len(clique), path)]
+    stack = [(uncolored, seen, _bit_slices(seen), len(clique), path)]
     while stack:
-        uncolored, seen, opened, path = stack.pop()
+        uncolored, seen, count, opened, path = stack.pop()
         budget.tick()
-        while True:
-            count = _bit_slices(seen)
-            if _count_is(count, c, uncolored):
-                break                  # a vertex sees every class
+        while not _count_is(count, c, uncolored):   # no vertex sees every class
             forced = _count_is(count, c - 1, uncolored)
             if forced:
-                # the lowest forced vertex takes its one free class
-                v = (forced & -forced).bit_length() - 1
-                col = next(k for k in range(c) if not (seen[k] >> v) & 1)
-                seen[col] |= adj[v]
-                uncolored ^= 1 << v
-                opened = max(opened, col + 1)
-                path = (v, col, path)
+                # every forced vertex, lowest first, takes its one free class;
+                # one left with none ends the round, and the loop test sees it
+                while forced:
+                    low = forced & -forced
+                    v = low.bit_length() - 1
+                    for col, s in enumerate(seen):
+                        if not (s >> v) & 1:
+                            break
+                    else:
+                        break          # a forced neighbor took its last class
+                    _add_to_count(count, adj[v] & ~s)
+                    seen[col] = s | adj[v]
+                    uncolored ^= low
+                    forced ^= low
+                    if col >= opened:
+                        opened = col + 1
+                    path = (v, col, path)
                 continue
             if not uncolored:
                 colors = [-1] * G.n
@@ -402,9 +432,10 @@ def _decide_core(G: IntersectionGraph, c: int, budget: Budget) -> Optional[list]
             # new classes open in index order; push so the lowest pops first
             for col in reversed(range(min(c, opened + 1))):
                 if not (seen[col] >> v) & 1:
-                    child = seen[:]
+                    child, child_count = seen[:], count[:]
+                    _add_to_count(child_count, adj[v] & ~seen[col])
                     child[col] |= adj[v]
-                    stack.append((uncolored ^ 1 << v, child,
+                    stack.append((uncolored ^ 1 << v, child, child_count,
                                   max(opened, col + 1), (v, col, path)))
             break
     return None
@@ -462,9 +493,14 @@ def parse_edge_list(text: str) -> IntersectionGraph:
         raise FileFormatError(f"vertex count must be nonnegative, got {n}")
     if len(edges) != m:
         raise FileFormatError(f"expected {m} edges, found {len(edges)}")
+    pairs = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise FileFormatError(f"edge ({u},{v}) out of range")
         if u == v:
             raise FileFormatError(f"self-loop ({u},{v})")
+        pair = (min(u, v), max(u, v))
+        if pair in pairs:
+            raise FileFormatError(f"edge ({u},{v}) repeats an earlier row")
+        pairs.add(pair)
     return graph_from_edges(n, edges)

@@ -128,17 +128,36 @@ def graph_with_chi_above(rng: random.Random, threshold: int) -> IntersectionGrap
     return graph_from_edges(n, sorted(edges))
 
 
-def mycielskian(k: int) -> IntersectionGraph:
-    """Mycielski's graph M_k (k >= 2): triangle-free with chromatic number k.
+def triangle_free_process(rng: random.Random, n: int) -> list:
+    """Edges of a maximal triangle-free graph on n vertices: visit all pairs
+    in random order and keep an edge unless it closes a triangle."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    adj = [0] * n
+    edges = []
+    for u, v in pairs:
+        if not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            edges.append((u, v))
+    return edges
 
-    M_2 is K_2; M_(k+1) adds a shadow u_i of each vertex v_i, adjacent to
-    the neighbors of v_i, and one hub adjacent to every shadow.
-    """
+
+def mycielskian_of(n: int, edges) -> tuple:
+    """(n, edges) of the Mycielskian of a graph: chi rises by one and no
+    triangle appears. Vertex n + i shadows vertex i, adjacent to the
+    neighbors of i, and the hub 2n is adjacent to every shadow."""
+    edges = list(edges)
+    return 2 * n + 1, (edges + [(n + u, v) for u, v in edges] + [(u, n + v) for u, v in edges]
+                       + [(n + i, 2 * n) for i in range(n)])
+
+
+def mycielskian(k: int) -> IntersectionGraph:
+    """Mycielski's graph M_k (k >= 2): triangle-free with chromatic number k;
+    M_2 is K_2 and M_(k+1) is the Mycielskian of M_k."""
     n, edges = 2, [(0, 1)]
     for _ in range(k - 2):
-        edges = (edges + [(n + u, v) for u, v in edges] + [(u, n + v) for u, v in edges]
-                 + [(n + i, 2 * n) for i in range(n)])
-        n = 2 * n + 1
+        n, edges = mycielskian_of(n, edges)
     return graph_from_edges(n, edges)
 
 

@@ -440,6 +440,15 @@ class TestCli:
         assert main(["color", "--exact", "--graph", str(path)]) == 4
         assert "FileFormatError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["3 2\n0 1\n1 0\n", "3 3\n0 1\n1 2\n0 1\n"])
+    def test_repeated_edge_row(self, tmp_path, capsys, body):
+        # the second row names an edge again, reversed or as written
+        path = tmp_path / "twice.txt"
+        path.write_text(body)
+        assert main(["omega", "--graph", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "FileFormatError" in err and "repeats an earlier row" in err
+
     def test_io_error_exit_code(self, tmp_path):
         assert main(["verify-family", str(tmp_path / "missing.json")]) == 4
 
@@ -457,6 +466,16 @@ class TestCli:
         assert main(["--time-budget-ms", "1", "color", "--exact",
                      "--graph", str(path)]) == 3
         assert "solver time budget exhausted" in capsys.readouterr().err
+
+    def test_budget_keeps_proven_lower_bound(self, tmp_path, capsys):
+        # c = 2, 3 and 4 are refuted within the budget; the c = 5 refutation
+        # (about 111,000 nodes) runs out, and its core's clique of 2 must not
+        # lower the bound the refutations proved
+        path = tmp_path / "m6.txt"
+        path.write_text(format_edge_list(mycielskian(6)))
+        assert main(["--node-budget", "100000", "color", "--exact",
+                     "--graph", str(path)]) == 3
+        assert "(bounds 5..6)" in capsys.readouterr().err
 
     def test_color_edge_list_k4(self, tmp_path, capsys):
         path = tmp_path / "k4.txt"

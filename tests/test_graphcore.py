@@ -249,8 +249,9 @@ def _gnp(seed, n, p):
                                 if rng.random() < p])
 
 
-def _search_record(g):
-    """Every output of the exact solvers on g, with the nodes each one used."""
+def _search_record(g, below=1):
+    """Every output of the exact solvers on g, with the nodes each one used;
+    the decisions run for c from chi - below to chi."""
     def run(fn, *args):
         budget = Budget(10 ** 8)
         result = fn(g, *args, budget=budget)
@@ -258,10 +259,9 @@ def _search_record(g):
 
     (chi, witness), nodes = run(chromatic_number)
     rows = [f"chi {chi} {witness.colors} {nodes}"]
-    for c in (chi - 1, chi):
-        if c >= 0:
-            result, nodes = run(chromatic_decision, c)
-            rows.append(f"dec {c} {result and result.colors} {nodes}")
+    for c in range(max(chi - below, 0), chi + 1):
+        result, nodes = run(chromatic_decision, c)
+        rows.append(f"dec {c} {result and result.colors} {nodes}")
     clique, nodes = run(maximum_clique)
     rows.append(f"clique {clique} {nodes}")
     return "\n".join(rows)
@@ -287,6 +287,33 @@ def _digest_graphs():
 def test_search_digest():
     text = "\n\n".join(_search_record(g) for g in _digest_graphs())
     assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_DIGEST
+
+
+# sha256 over _search_record, with decisions from chi - 2 up, of graphs shaped
+# like the solve-exact benchmark's: M_2..M_5 and relabeled Mycielskians of
+# Mycielskians of seeded 7-vertex triangle-free graphs. The c = chi - 2
+# refutations are deep, and their wipeouts land in the middle of a round of
+# forced assignments. Pinned at commit f732a05, before the search carried its
+# counts from state to state.
+MYCIELSKI_DIGEST = "7c52ad127766f6a596703881e8e951fe34f9d5146343bcf52ec80c572549d4c2"
+
+
+def _mycielski_digest_graphs():
+    from generators import mycielskian, mycielskian_of, triangle_free_process
+
+    graphs = [mycielskian(k) for k in range(2, 6)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        n, edges = mycielskian_of(*mycielskian_of(7, triangle_free_process(rng, 7)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges]))
+    return graphs
+
+
+def test_mycielski_digest():
+    text = "\n\n".join(_search_record(g, below=2) for g in _mycielski_digest_graphs())
+    assert hashlib.sha256(text.encode()).hexdigest() == MYCIELSKI_DIGEST
 
 
 def _octahedra(k):
