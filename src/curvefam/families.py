@@ -75,18 +75,19 @@ class EvenCurve:
 
 
 def refine_at_crossings(c: Polyline) -> Polyline:
-    """Insert every baseline crossing of c as an explicit vertex."""
-    crossings = baseline_crossings_along(c)
-    by_edge: dict = {}
-    for p, (i, t) in crossings:
+    """Insert every baseline crossing of c as an explicit vertex.
+
+    Crossings come in order along c, and an edge has at most one proper
+    crossing (a baseline edge is rejected), so each one is inserted after
+    its edge's first vertex as it comes.
+    """
+    pts, start = [], 0
+    for p, (i, t) in baseline_crossings_along(c):
         if t != 0:
-            by_edge.setdefault(i, []).append((t, p))
-    pts = []
-    for i, v in enumerate(c.points[:-1]):
-        pts.append(v)
-        for _, p in sorted(by_edge.get(i, [])):
+            pts.extend(c.points[start:i + 1])
             pts.append(p)
-    pts.append(c.points[-1])
+            start = i + 1
+    pts.extend(c.points[start:])
     return Polyline(tuple(pts), c.id)
 
 
@@ -202,18 +203,16 @@ def _validate_kind(fam: CurveFamily) -> None:
         raise FamilyValidationError("member ids must be unique")
 
     kind, t = fam.kind, fam.t
+    if kind is FamilyKind.TWO_T and (t is None or t < 1):
+        raise FamilyValidationError("TWO_T family needs t >= 1")
     for m in fam.members:
         n = m.n_crossings
         if kind is FamilyKind.ONE_CURVE and n != 1:
             raise FamilyValidationError(f"{m.id!r} has {n} basepoints in a 1-curve family")
         if kind in (FamilyKind.EVEN, FamilyKind.LR) and (n < 2 or n % 2):
             raise FamilyValidationError(f"{m.id!r} has {n} basepoints in an even-curve family")
-        if kind is FamilyKind.TWO_T:
-            if t is None or t < 1:
-                raise FamilyValidationError("TWO_T family needs t >= 1")
-            if n != 2 * t:
-                raise FamilyValidationError(
-                    f"{m.id!r} has {n} basepoints, expected {2 * t}")
+        if kind is FamilyKind.TWO_T and n != 2 * t:
+            raise FamilyValidationError(f"{m.id!r} has {n} basepoints, expected {2 * t}")
         if kind is FamilyKind.LR2 and n != 2:
             raise FamilyValidationError(f"{m.id!r} has {n} basepoints in a 2-curve family")
 
@@ -296,6 +295,42 @@ def pair_points(members) -> dict:
     out = {}
     for key in sorted(found):               # by pair, then by (x, y)
         out.setdefault(key[:2], []).append(found[key])
+    return out
+
+
+def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None,
+                         part: str = "") -> list:
+    """Subfamilies of fam whose pair maps are read off fam's, in one pass.
+
+    The groups partition fam: groups[c] lists the members of subfamily c as
+    (i, member) pairs, i increasing, where member stands for fam.members[i].
+    Where two members meet does not depend on the other members, so
+    subfamily c keeps the hits of fam's pairs with both ends in it,
+    re-indexed by position. With part "L" or "R", member is that 1-curve of
+    fam.members[i]: only the points on that part of both members are kept,
+    labelled "LR". The re-indexing is monotone, so each map equals
+    pair_points of the subfamily's members, in the same order.
+    """
+    cell_of = [None] * len(fam.members)
+    for c, group in enumerate(groups):
+        for k, (i, _) in enumerate(group):
+            cell_of[i] = (c, k)
+    maps = [{} for _ in groups]
+    for (i, j), hits in fam.pairs.items():
+        (c, ki), (d, kj) = cell_of[i], cell_of[j]
+        if c != d:
+            continue
+        if part:
+            hits = [(p, "LR", "LR") for p, on_i, on_j in hits
+                    if part in on_i and part in on_j]
+            if not hits:
+                continue
+        maps[c][ki, kj] = hits
+    out = []
+    for group, pairs in zip(groups, maps):
+        sub = CurveFamily(tuple(m for _, m in group), kind, t)
+        sub.__dict__["pairs"] = pairs       # where the cached property keeps it
+        out.append(sub)
     return out
 
 

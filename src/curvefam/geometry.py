@@ -211,26 +211,29 @@ def validate_simple(poly: Polyline) -> None:
     """Reject self-intersecting polylines.
 
     Adjacent edges may meet only at their shared vertex; all other edge pairs
-    must be disjoint.
+    must be disjoint. Two adjacent edges share a vertex, so they meet
+    elsewhere exactly when they are collinear and reverse direction: one
+    cross product and one dot product of the edge vectors decide the pair,
+    and the exact segment test runs only on the others.
     """
     boxes = poly.segment_boxes
     n = len(boxes)
     for i in range(n):
         sx0, sx1, sy0, sy1, a1, a2 = boxes[i]
-        for j in range(i + 1, n):
+        if i + 1 < n:
+            a3 = boxes[i + 1][5]
+            ux, uy, vx, vy = a2.x - a1.x, a2.y - a1.y, a3.x - a2.x, a3.y - a2.y
+            if ux * vy == uy * vx and ux * vx + uy * vy < 0:
+                raise ContractError(
+                    f"polyline {poly.id!r} folds back on itself at edge {i}-{i + 1}")
+        for j in range(i + 2, n):
             tx0, tx1, ty0, ty1, b1, b2 = boxes[j]
             if sx1 < tx0 or tx1 < sx0 or sy1 < ty0 or ty1 < sy0:
                 continue
-            rel, data = segment_intersection(a1, a2, b1, b2)
-            if rel is SegRelation.DISJOINT:
-                continue
-            if j == i + 1:
-                if rel is SegRelation.POINT and data == a2:
-                    continue
+            rel, _ = segment_intersection(a1, a2, b1, b2)
+            if rel is not SegRelation.DISJOINT:
                 raise ContractError(
-                    f"polyline {poly.id!r} folds back on itself at edge {i}-{j}")
-            raise ContractError(
-                f"polyline {poly.id!r} self-intersects between edges {i} and {j}")
+                    f"polyline {poly.id!r} self-intersects between edges {i} and {j}")
 
 
 def _box_pairs(a: Polyline, b: Polyline) -> list:
@@ -379,9 +382,8 @@ def baseline_crossings_along(c: Polyline):
             out.append((pts[i], (i, Fraction(0))))
         if i < n - 1 and signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
             a, b = pts[i], pts[i + 1]
-            t = Fraction(a.y, a.y - b.y)
-            x = a.x + t * (b.x - a.x)
-            out.append((Point(x, 0), (i, t)))
+            d = a.y - b.y
+            out.append((Point(_quotient(a.y * b.x - a.x * b.y, d), 0), (i, Fraction(a.y, d))))
     return out
 
 

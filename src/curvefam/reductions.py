@@ -26,6 +26,7 @@ from .errors import (
 from .families import (
     CurveFamily,
     FamilyKind,
+    _restricted_families,
     decompose_even_curve,
     make_one_curve,
     validate_lr,
@@ -260,7 +261,7 @@ def split_2t(fam: CurveFamily):
     the cut edge, which destroys the cut basepoint but keeps every
     intersection with other members; both derived families are then
     2(t-1)-curve families. For t = 1 the derived families are the left and
-    right 1-curves.
+    right 1-curves, whose pair maps are fam's restricted to that part.
     """
     if fam.kind is not FamilyKind.TWO_T or fam.t is None:
         raise ContractError("split_2t needs a TWO_T(t) family")
@@ -276,13 +277,13 @@ def split_2t(fam: CurveFamily):
 
     f1, f2 = [], []
     for m, hits in zip(ms, meets):
-        pts = m.curve.points
-        cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
         if t == 1:
             f1.append(make_one_curve(m.left))
             f2.append(make_one_curve(m.right))
             continue
 
+        pts = m.curve.points
+        cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
         vi = cross_idx[2 * t - 2]          # crossing p_(2t-1)
         edge_in = vi - 1
         ts = [u for u in _events_on_edge(m.curve, edge_in, hits) if u < 1]
@@ -298,8 +299,9 @@ def split_2t(fam: CurveFamily):
         f2.append(decompose_even_curve(piece2))
 
     if t == 1:
-        return (CurveFamily(tuple(f1), FamilyKind.ONE_CURVE),
-                CurveFamily(tuple(f2), FamilyKind.ONE_CURVE))
+        (h1,) = _restricted_families(fam, [list(enumerate(f1))], FamilyKind.ONE_CURVE, part="L")
+        (h2,) = _restricted_families(fam, [list(enumerate(f2))], FamilyKind.ONE_CURVE, part="R")
+        return h1, h2
     return (CurveFamily(tuple(f1), FamilyKind.TWO_T, t - 1),
             CurveFamily(tuple(f2), FamilyKind.TWO_T, t - 1))
 
@@ -347,15 +349,17 @@ def product_color(fam: CurveFamily, phi1: dict, phi2: dict,
             return w.as_label_map(g)
 
     cells_by_key: dict = {}
-    for m in fam.members:
-        cells_by_key.setdefault((phi1[m.id], phi2[m.id]), []).append(m)
+    for i, m in enumerate(fam.members):
+        cells_by_key.setdefault((phi1[m.id], phi2[m.id]), []).append((i, m))
+    keys = sorted(cells_by_key)
+    cell_fams = _restricted_families(fam, [cells_by_key[key] for key in keys],
+                                     fam.kind, fam.t)
 
     records = []
     combined: dict = {}
     max_cell_palette = 0
-    for key in sorted(cells_by_key):
-        members = cells_by_key[key]
-        cell_fam = CurveFamily(tuple(members), fam.kind, fam.t)
+    for key, cell_fam in zip(keys, cell_fams):
+        members = cell_fam.members
         cert = validate_lr(cell_fam)
         if not cert.ok:
             raise ContractError(

@@ -188,6 +188,21 @@ def test_malformed_family_file(tmp_path, capsys, body):
     assert "FileFormatError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", [', "t": 0', ', "t": -1', ''], ids=["zero", "negative", "missing"])
+@pytest.mark.parametrize("argv", [
+    ["reduce", "product-color", "--out", "out.json"],
+    ["reduce", "split-2t", "--out1", "out1.json", "--out2", "out2.json"],
+], ids=["product-color", "split-2t"])
+def test_two_t_family_needs_positive_t(tmp_path, capsys, monkeypatch, t, argv):
+    # an empty two_t family once loaded with any t: product-color recursed
+    # until RecursionError, and split-2t wrote halves with t = -1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tt.json").write_text('{"scale": 1, "kind": "two_t"%s, "curves": []}' % t)
+    assert main([*argv, "--family", "tt.json"]) == 2
+    assert "FamilyValidationError: TWO_T family needs t >= 1" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["tt.json"]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["reduce", "mcguinness"], "--family or --graph"),
     (["reduce", "component-split"], "--family"),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +264,66 @@ class TestPolylineValidation:
         pts = tuple(P(i, 1 + (i % 2)) for i in range(10_001))
         with pytest.raises(ContractError):
             Polyline(pts, "big")
+
+
+BOUND = 12
+
+
+@st.composite
+def folding_polyline(draw):
+    """3-8 integer vertices in [-BOUND, BOUND]^2. Each step goes to a fresh
+    point, keeps going along the last edge (a collinear straight run), or
+    turns back along it (a fold-back), so both adjacent-pair cases occur."""
+    coord = st.integers(-BOUND, BOUND)
+    pts = [(draw(coord), draw(coord))]
+    pts.append(draw(st.tuples(coord, coord).filter(lambda p: p != pts[0])))
+    for _ in range(draw(st.integers(1, 6))):
+        (x0, y0), (x1, y1) = pts[-2], pts[-1]
+        g = gcd(x1 - x0, y1 - y0)
+        k = draw(st.sampled_from((0, 1, 2, -1, -2, -3)))
+        nxt = (x1 + k * (x1 - x0) // g, y1 + k * (y1 - y0) // g)
+        if k == 0 or max(abs(nxt[0]), abs(nxt[1])) > BOUND:
+            nxt = draw(st.tuples(coord, coord).filter(lambda p: p != (x1, y1)))
+        pts.append(nxt)
+    return pts
+
+
+def first_self_meeting(coords):
+    """The brute-force verdict on every edge pair, as the error it implies.
+
+    Adjacent edges share a vertex, so they meet elsewhere exactly when they
+    overlap collinearly; other edges must not touch at all. Pairs are tried
+    in (i, j) order, so the first hit is the one validate_simple names.
+    """
+    edges = list(zip(coords, coords[1:]))
+    for i in range(len(edges)):
+        if i + 1 < len(edges) and collinear_overlap(edges[i], edges[i + 1]):
+            return f"folds back on itself at edge {i}-{i + 1}"
+        for j in range(i + 2, len(edges)):
+            if segments_touch_oracle(edges[i], edges[j], BOUND):
+                return f"self-intersects between edges {i} and {j}"
+    return None
+
+
+class TestValidateSimpleOracle:
+    @given(folding_polyline())
+    @settings(max_examples=250, deadline=None)
+    def test_agrees_with_brute_force(self, coords):
+        expected = first_self_meeting(coords)
+        for poly in (poly_of(coords, id="c"), poly_of(coords, lambda v: Fraction(v, 3), "c")):
+            if expected is None:
+                validate_simple(poly)
+            else:
+                with pytest.raises(ContractError) as err:
+                    validate_simple(poly)
+                assert str(err.value) == f"polyline 'c' {expected}"
+
+    def test_fold_back_and_crossing_names(self):
+        with pytest.raises(ContractError, match="folds back on itself at edge 1-2"):
+            validate_simple(poly_of([(0, 0), (0, 4), (0, 8), (0, 6)], id="p"))
+        with pytest.raises(ContractError, match="self-intersects between edges 0 and 3"):
+            validate_simple(poly_of([(0, 0), (4, 4), (4, 0), (2, 1), (-3, 5)], id="p"))
+        validate_simple(poly_of([(0, 0), (0, 4), (0, 8), (3, 8)], id="p"))
 
 
 class TestStrip:

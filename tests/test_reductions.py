@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from curvefam import reductions
+from curvefam import cli, familyfile, families, reductions
 from curvefam.errors import (
     BelowBaselineIntersectionError,
     CertificateError,
@@ -14,8 +14,10 @@ from curvefam.errors import (
 from curvefam.families import (
     CurveFamily,
     FamilyKind,
+    _restricted_families,
     decompose_even_curve,
     member_intersections,
+    pair_points,
     validate_lr,
 )
 from curvefam.geometry import Point as P, Polyline
@@ -299,6 +301,74 @@ class TestProductColor:
             g = build_graph(fam.members)
             ok, _ = is_proper(g, Coloring(tuple(coloring[m.id] for m in fam.members)))
             assert ok
+
+
+def _same_map(fam):
+    """fam's pair map equals a fresh pair_points of its members, in order."""
+    fresh = pair_points(fam.members)
+    return fam.pairs == fresh and list(fam.pairs) == list(fresh)
+
+
+class TestRestrictedPairMaps:
+    """Subfamilies read their pair maps off their parent's; each equals a
+    fresh pair_points of the same members."""
+
+    @staticmethod
+    def _seeded_families():
+        rng = random.Random(311)
+        for _ in range(4):
+            lr = lr_family(rng, max_members=16)
+            yield CurveFamily(lr.members, FamilyKind.TWO_T, 1)
+            yield two_t_family(rng, max_members=16)
+
+    def test_product_color_cells(self, monkeypatch):
+        cells = []
+
+        def record(fam):
+            cells.append(fam)
+            return validate_lr(fam)
+
+        monkeypatch.setattr(reductions, "validate_lr", record)
+        for fam in self._seeded_families():
+            two_t_product_coloring(fam)
+        assert len(cells) > 20 and any(len(c) > 2 for c in cells)
+        for cell in cells:
+            assert _same_map(cell)
+
+    def test_one_curve_halves(self):
+        for fam in self._seeded_families():
+            halves = split_2t(fam) if fam.t == 1 else split_2t(split_2t(fam)[0])
+            for half in halves:
+                assert half.kind is FamilyKind.ONE_CURVE
+                assert _same_map(half)
+
+    def test_arbitrary_partitions(self):
+        rng = random.Random(313)
+        for fam in self._seeded_families():
+            labels = [rng.randrange(3) for _ in fam.members]
+            groups = [[(i, m) for i, m in enumerate(fam.members) if labels[i] == c]
+                      for c in range(3)]
+            subs = _restricted_families(fam, groups, fam.kind, fam.t)
+            assert [len(s) for s in subs] == [len(g) for g in groups]
+            for sub in subs:
+                assert _same_map(sub)
+
+    def test_product_color_builds_three_maps(self, tmp_path, monkeypatch):
+        # the t = 2 family and its two t = 1 halves build maps; the 1-curve
+        # families and every cell restrict one of those three
+        rng = random.Random(7)
+        fam = two_t_family(rng, max_members=20)
+        while len(fam) != 20:
+            fam = two_t_family(rng, max_members=20)
+        path = str(tmp_path / "tt.json")
+        familyfile.save(fam, path)
+        built = []
+        original = families.pair_points
+        monkeypatch.setattr(families, "pair_points",
+                            lambda members: built.append(len(members)) or original(members))
+        assert cli.main(["reduce", "product-color", "--family", path,
+                         "--out", str(tmp_path / "product.json")]) == 0
+        assert built == [20, 20, 20]
 
 
 class TestMcGuinness:
