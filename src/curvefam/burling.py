@@ -8,24 +8,28 @@ probe; the step places a scaled copy of the previous level inside every
 probe, below the horizontal arms crossing it, and wires one new double-curve
 plus two new probes for every probe of every inner copy.
 
-Geometry is laid out in exact dyadic rationals inside a unit box, and every
-incidence claimed by the construction is checked during that layout
-(CertificateError otherwise). Every curve and probe is axis-parallel, so only
-the order of the x values and of the y values matters: each is replaced by
-its rank, giving integer coordinates from 1 upward over the baseline y = 0.
+Geometry is laid out inside a unit box in ints at a fixed power-of-two scale
+per level (2**51 at k = 4, 2**107 at k = 5), so every coordinate is exact and
+every division is an exact integer division; every incidence claimed by the
+construction is checked during that layout (CertificateError otherwise).
+Every curve and probe is axis-parallel, so only the order of the x values and
+of the y values matters: each is replaced by its rank, giving integer
+coordinates from 1 upward over the baseline y = 0.
 """
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Optional
 
 from .errors import CertificateError, ContractError, ImproperColoring
-from .geometry import MAX_GENERATED_CURVES, Point, Polyline, polyline_meets_vstrip, polylines_disjoint
+from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, polyline_meets_vstrip,
+                       polylines_disjoint, validate_simple)
 from .families import pair_points, validate_lr
 from .graphcore import Coloring, IntersectionGraph, find_triangle, graph_from_edges, is_proper
 
@@ -40,8 +44,8 @@ def expected_sizes(k: int):
 @dataclass(frozen=True)
 class Probe:
     """A vertical strip of the upper half-plane over [x_lo, x_hi]. The
-    generator lays strips out with Fraction ends, then replaces each end by
-    its rank among the instance's x values."""
+    generator lays strips out with int ends at its layout scale, then
+    replaces each end by its rank among the instance's x values."""
 
     x_lo: int
     x_hi: int
@@ -65,6 +69,7 @@ class DoubleCurve:
 
     def __post_init__(self):
         for name, poly in (("left", self.left), ("right", self.right)):
+            validate_simple(poly)
             foot = poly.points[0]
             if foot.y != 0:
                 raise ContractError(f"{self.id!r}.{name} must start on the baseline")
@@ -144,27 +149,52 @@ class BurlingInstance:
         """The part-labelled pair map, computed on first use; see pair_points."""
         return pair_points(self.members)
 
-    def graph(self) -> IntersectionGraph:
+    @cached_property
+    def _graph(self) -> IntersectionGraph:
         return graph_from_edges(len(self.members), self.pairs,
                                 tuple(m.id for m in self.members))
 
+    def graph(self) -> IntersectionGraph:
+        """The intersection graph, vertex v being members[v]; built once."""
+        return self._graph
 
-# Construction-time rational layout.
+
+# Construction-time integer layout.
+
+def _scale_bits(level: int) -> int:
+    """D_level, for the layout scale 2**D_level of a level's coordinates:
+    D_1 = 3, D_2 = 9 and D_(k+1) = 2 D_k + 5 (51 at k = 4, 107 at k = 5)."""
+    d = 3
+    for k in range(2, level + 1):
+        d = 9 if k == 2 else 2 * d + 5
+    return d
+
+
+def _div(n: int, d: int) -> int:
+    """n / d, which the layout needs exact at its scale."""
+    q, r = divmod(n, d)
+    if r:
+        raise CertificateError(f"layout value {n}/{d} is off the integer grid")
+    return q
+
 
 @dataclass(frozen=True)
 class _RMember:
+    """One double-curve of the layout, each coordinate an int at the level's
+    scale 2**D (the value times 2**D)."""
+
     id: str
-    lx: Fraction
-    ltop: Fraction
-    rx: Fraction
-    rh: Fraction
-    rend: Fraction
+    lx: int
+    ltop: int
+    rx: int
+    rh: int
+    rend: int
 
 
 @dataclass(frozen=True)
 class _RInst:
     members: tuple
-    tree: BurlingNode   # probe ends are Fractions until the final ranking
+    tree: BurlingNode   # probe ends at the layout scale until the final ranking
 
 
 def _map_node(node: BurlingNode, prefix: str, f) -> BurlingNode:
@@ -184,12 +214,12 @@ def _map_node(node: BurlingNode, prefix: str, f) -> BurlingNode:
 
 
 def _base() -> _RInst:
-    e = Fraction(1, 8)
-    m = _RMember("x", lx=e, ltop=4 * e, rx=3 * e, rh=2 * e, rend=7 * e)
-    return _RInst((m,), BurlingNode(level=1, member_id="x", probe=Probe(4 * e, 6 * e)))
+    """Level 1 in eighths of the unit box (scale 2**3)."""
+    m = _RMember("x", lx=1, ltop=4, rx=3, rh=2, rend=7)
+    return _RInst((m,), BurlingNode(level=1, member_id="x", probe=Probe(4, 6)))
 
 
-def _crossing_arms(inst: _RInst, lo: Fraction, hi: Fraction) -> list:
+def _crossing_arms(inst: _RInst, lo: int, hi: int) -> list:
     """Members crossing the strip, checking the layout invariants."""
     out = []
     for m in inst.members:
@@ -209,24 +239,32 @@ def _crossing_arms(inst: _RInst, lo: Fraction, hi: Fraction) -> list:
 
 
 def _step(inst: _RInst) -> _RInst:
-    members = [_RMember("o." + m.id, m.lx, m.ltop, m.rx, m.rh, m.rend)
+    """The next level at the next scale. The outer copy's coordinates are
+    lifted to it; an inner copy maps old coordinates x -> x0 + x * sx, where
+    sx is the strip's affine factor per old unit."""
+    level = inst.tree.level
+    scale = 1 << _scale_bits(level)
+    up = 1 << (_scale_bits(level + 1) - _scale_bits(level))
+    members = [_RMember("o." + m.id, m.lx * up, m.ltop * up, m.rx * up, m.rh * up,
+                        m.rend * up)
                for m in inst.members]
     probes = inst.tree.probes
     p = len(probes)
     inner_nodes = []
     gadget_rows = []
 
-    for i, (lo, hi) in enumerate(q.as_pair() for q in probes):
+    for i, q in enumerate(probes):
+        h = up * min(m.rh for m in _crossing_arms(inst, q.x_lo, q.x_hi))
+        lo, hi = q.x_lo * up, q.x_hi * up
         width = hi - lo
-        h = min(m.rh for m in _crossing_arms(inst, lo, hi))
 
         # scaled copy of the whole instance inside the strip, below the arms
-        x0, sx = lo + width / 8, 3 * width / 8
+        x0, sx = lo + _div(width, 8), _div(3 * width, 8 * scale)
+        sy = _div(h, 2 * scale)
 
         def fx(x):
             return x0 + x * sx
 
-        sy = h / 2
         pre = f"p{i}."
         for m in inst.members:
             members.append(_RMember(pre + m.id, fx(m.lx), m.ltop * sy,
@@ -235,23 +273,23 @@ def _step(inst: _RInst) -> _RInst:
         inner_nodes.append(copy)
 
         row = []
-        for j, (c, d) in enumerate(q.as_pair() for q in copy.probes):
+        slot = _div(width, 2 * p)
+        slot_1, slot_3, slot_5, slot_7 = (_div(n * slot, 8) for n in (1, 3, 5, 7))
+        l_top, arm_step = _div(3 * h, 4), _div(h, 4 * p)
+        for j, c_probe in enumerate(copy.probes):
+            c, d = c_probe.as_pair()
             w = d - c
-            l_x = c + 3 * w / 4
-            l_top = 3 * h / 4
-            slot = width / (2 * p)
-            s0 = lo + width / 2 + j * slot
-            stem = s0 + slot / 8
-            arm_end = s0 + 7 * slot / 8
-            arm_h = h / 2 + (j + 1) * h / (4 * p)
+            l_x = c + _div(3 * w, 4)
+            s0 = lo + _div(width, 2) + j * slot
+            arm_h = _div(h, 2) + (j + 1) * arm_step
             gid = f"g{i}.{j}"
-            members.append(_RMember(gid, l_x, l_top, stem, arm_h, arm_end))
-            row.append(Gadget(gid, Probe(c + w / 4, c + w / 2),
-                              Probe(s0 + 3 * slot / 8, s0 + 5 * slot / 8)))
+            members.append(_RMember(gid, l_x, l_top, s0 + slot_1, arm_h, s0 + slot_7))
+            row.append(Gadget(gid, Probe(c + _div(w, 4), c + _div(w, 2)),
+                              Probe(s0 + slot_3, s0 + slot_5)))
         gadget_rows.append(tuple(row))
 
-    tree = BurlingNode(level=inst.tree.level + 1,
-                       outer=_map_node(inst.tree, "o.", lambda x: x),
+    tree = BurlingNode(level=level + 1,
+                       outer=_map_node(inst.tree, "o.", lambda x: x * up),
                        inner=tuple(inner_nodes), gadgets=tuple(gadget_rows))
     return _RInst(tuple(members), tree)
 
@@ -265,12 +303,24 @@ def _all_probes(node: BurlingNode) -> list:
 
 
 def _ranker(values):
-    """v -> the rank of v among the distinct values, from 1 upward. The values
-    are dyadic, so scaled by their largest denominator they sort as ints."""
-    den = max(v.denominator for v in values)
-    keys = sorted({v.numerator * (den // v.denominator) for v in values})
-    rank = dict(zip(keys, range(1, len(keys) + 1)))
-    return lambda v: rank[v.numerator * (den // v.denominator)]
+    """v -> the rank of v among the distinct values, from 1 upward."""
+    keys = sorted(set(values))
+    return dict(zip(keys, range(1, len(keys) + 1))).__getitem__
+
+
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector. The generator builds no reference
+    cycles, and nearly all it builds outlives the call, so the collector's
+    passes over it would free nothing; on X_5 they took about 40 % of the
+    generator's CPU time."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def generate(k: int) -> BurlingInstance:
@@ -285,21 +335,22 @@ def generate(k: int) -> BurlingInstance:
             f"level {k} has {n_exp} double-curves, beyond the "
             f"{MAX_GENERATED_CURVES} the generator builds")
 
-    inst = _base()
-    for _ in range(k - 1):
-        inst = _step(inst)
+    with _cyclic_gc_paused():
+        inst = _base()
+        for _ in range(k - 1):
+            inst = _step(inst)
 
-    rank_x = _ranker([x for m in inst.members for x in (m.lx, m.rx, m.rend)]
-                     + [x for q in _all_probes(inst.tree) for x in q.as_pair()])
-    rank_y = _ranker([y for m in inst.members for y in (m.ltop, m.rh)])
-    members = []
-    for m in inst.members:
-        lx, rx, rend = rank_x(m.lx), rank_x(m.rx), rank_x(m.rend)
-        ltop, rh = rank_y(m.ltop), rank_y(m.rh)
-        left = Polyline((Point(lx, 0), Point(lx, ltop)), f"{m.id}.L")
-        right = Polyline((Point(rx, 0), Point(rx, rh), Point(rend, rh)), f"{m.id}.R")
-        members.append(DoubleCurve(m.id, left, right))
-    tree = _map_node(inst.tree, "", rank_x)
+        rank_x = _ranker([x for m in inst.members for x in (m.lx, m.rx, m.rend)]
+                         + [x for q in _all_probes(inst.tree) for x in q.as_pair()])
+        rank_y = _ranker([y for m in inst.members for y in (m.ltop, m.rh)])
+        members = []
+        for m in inst.members:
+            lx, rx, rend = rank_x(m.lx), rank_x(m.rx), rank_x(m.rend)
+            ltop, rh = rank_y(m.ltop), rank_y(m.rh)
+            left = Polyline((Point(lx, 0), Point(lx, ltop)), f"{m.id}.L")
+            right = Polyline((Point(rx, 0), Point(rx, rh), Point(rend, rh)), f"{m.id}.R")
+            members.append(DoubleCurve(m.id, left, right))
+        tree = _map_node(inst.tree, "", rank_x)
 
     probes = tree.probes
     if (len(members), len(probes)) != (n_exp, p_exp):

@@ -214,26 +214,33 @@ def validate_simple(poly: Polyline) -> None:
     must be disjoint. Two adjacent edges share a vertex, so they meet
     elsewhere exactly when they are collinear and reverse direction: one
     cross product and one dot product of the edge vectors decide the pair,
-    and the exact segment test runs only on the others.
+    and the exact segment test runs only on the others whose boxes meet.
+    The fold-backs are found from the vertices first, so a polyline of at
+    most two edges never builds its segment boxes.
     """
-    boxes = poly.segment_boxes
-    n = len(boxes)
-    for i in range(n):
-        sx0, sx1, sy0, sy1, a1, a2 = boxes[i]
-        if i + 1 < n:
-            a3 = boxes[i + 1][5]
-            ux, uy, vx, vy = a2.x - a1.x, a2.y - a1.y, a3.x - a2.x, a3.y - a2.y
-            if ux * vy == uy * vx and ux * vx + uy * vy < 0:
-                raise ContractError(
-                    f"polyline {poly.id!r} folds back on itself at edge {i}-{i + 1}")
-        for j in range(i + 2, n):
-            tx0, tx1, ty0, ty1, b1, b2 = boxes[j]
-            if sx1 < tx0 or tx1 < sx0 or sy1 < ty0 or ty1 < sy0:
-                continue
-            rel, _ = segment_intersection(a1, a2, b1, b2)
-            if rel is not SegRelation.DISJOINT:
-                raise ContractError(
-                    f"polyline {poly.id!r} self-intersects between edges {i} and {j}")
+    pts = poly.points
+    n = len(pts) - 1
+    fold = n        # the first i whose edges i and i + 1 fold back, else n
+    for i in range(n - 1):
+        a1, a2, a3 = pts[i], pts[i + 1], pts[i + 2]
+        ux, uy, vx, vy = a2.x - a1.x, a2.y - a1.y, a3.x - a2.x, a3.y - a2.y
+        if ux * vy == uy * vx and ux * vx + uy * vy < 0:
+            fold = i
+            break
+    if n > 2:
+        boxes = poly.segment_boxes
+        for i in range(fold):
+            sx0, sx1, sy0, sy1, a1, a2 = boxes[i]
+            for j in range(i + 2, n):
+                tx0, tx1, ty0, ty1, b1, b2 = boxes[j]
+                if sx1 < tx0 or tx1 < sx0 or sy1 < ty0 or ty1 < sy0:
+                    continue
+                rel, _ = segment_intersection(a1, a2, b1, b2)
+                if rel is not SegRelation.DISJOINT:
+                    raise ContractError(
+                        f"polyline {poly.id!r} self-intersects between edges {i} and {j}")
+    if fold < n:
+        raise ContractError(f"polyline {poly.id!r} folds back on itself at edge {fold}-{fold + 1}")
 
 
 def _box_pairs(a: Polyline, b: Polyline) -> list:

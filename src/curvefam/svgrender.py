@@ -2,20 +2,16 @@
 
 Presentation only; geometry is normalized into a fixed viewport, so the
 output is deterministic for a given input but carries no exactness
-guarantees beyond the source coordinates.
+guarantees beyond the source coordinates. Each viewport value is an exact
+quotient num / w of source-coordinate arithmetic, rounded once to a double
+and printed to three decimals.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .burling import BurlingInstance
 
 VIEW_W = 1000
-
-
-def _fmt(v: Fraction) -> str:
-    return f"{float(v):.3f}"
 
 
 def render_svg(polylines, probes=()) -> str:
@@ -23,43 +19,43 @@ def render_svg(polylines, probes=()) -> str:
     xs, ys = [], []
     for poly in polylines:
         for p in poly.points:
-            xs.append(Fraction(p.x))
-            ys.append(Fraction(p.y))
+            xs.append(p.x)
+            ys.append(p.y)
     for pr in probes:
-        xs.extend((Fraction(pr.x_lo), Fraction(pr.x_hi)))
+        xs.extend((pr.x_lo, pr.x_hi))
     if not xs:
-        xs, ys = [Fraction(0), Fraction(1)], [Fraction(0), Fraction(1)]
-    ys.append(Fraction(0))
+        xs, ys = [0, 1], [0, 1]
+    ys.append(0)
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
-    w = (maxx - minx) or Fraction(1)
-    h = (maxy - miny) or Fraction(1)
-    pad = Fraction(VIEW_W, 25)
-    sx = Fraction(VIEW_W) / w
-    view_h = h * sx + 2 * pad
+    w = (maxx - minx) or 1
+    h = (maxy - miny) or 1
+    pad = VIEW_W // 25
 
-    def tx(x):
-        return (Fraction(x) - minx) * sx + pad
+    def fmt(num) -> str:
+        # num / w is a correctly rounded int division when both are ints, and
+        # float() of the exact Fraction otherwise: the same double either way
+        return f"{float(num / w):.3f}"
 
-    def ty(y):
-        return (maxy - Fraction(y)) * sx + pad
+    # a source length d spans d * VIEW_W / w of the viewport
+    tx = {x: fmt((x - minx) * VIEW_W + pad * w) for x in set(xs)}
+    ty = {y: fmt((maxy - y) * VIEW_W + pad * w) for y in set(ys)}
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {VIEW_W + 2 * float(pad):.3f} {float(view_h):.3f}">'
+        f'viewBox="0 0 {VIEW_W + 2 * pad:.3f} {fmt(h * VIEW_W + 2 * pad * w)}">'
     ]
-    probe_top = ty(maxy)
-    probe_bot = ty(0)
+    height = fmt(maxy * VIEW_W)
     for pr in probes:
-        x0, x1 = tx(pr.x_lo), tx(pr.x_hi)
         parts.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(probe_top)}" width="{_fmt(x1 - x0)}" '
-            f'height="{_fmt(probe_bot - probe_top)}" fill="#cccccc" fill-opacity="0.55"/>')
+            f'<rect x="{tx[pr.x_lo]}" y="{ty[maxy]}" '
+            f'width="{fmt((pr.x_hi - pr.x_lo) * VIEW_W)}" '
+            f'height="{height}" fill="#cccccc" fill-opacity="0.55"/>')
     parts.append(
-        f'<line x1="{_fmt(tx(minx))}" y1="{_fmt(ty(0))}" x2="{_fmt(tx(maxx))}" '
-        f'y2="{_fmt(ty(0))}" stroke="#888888" stroke-width="1"/>')
+        f'<line x1="{tx[minx]}" y1="{ty[0]}" x2="{tx[maxx]}" '
+        f'y2="{ty[0]}" stroke="#888888" stroke-width="1"/>')
     for poly in polylines:
-        pts = " ".join(f"{_fmt(tx(p.x))},{_fmt(ty(p.y))}" for p in poly.points)
+        pts = " ".join(f"{tx[p.x]},{ty[p.y]}" for p in poly.points)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>')
     parts.append("</svg>")

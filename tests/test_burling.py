@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -87,6 +86,40 @@ class TestGenerate:
             assert time.perf_counter() - start < 0.5
         with pytest.raises(ContractError):
             generate(0)
+
+    def test_layout_scale(self):
+        # D_1 = 3, D_2 = 9, D_(k+1) = 2 D_k + 5
+        assert [burling._scale_bits(k) for k in (1, 2, 3, 4, 5)] == [3, 9, 23, 51, 107]
+
+    def test_inexact_layout_division_raises(self, monkeypatch):
+        # the exactness check is a real test, not an assert: a layout scale
+        # one bit too coarse for level 2 leaves a remainder
+        with pytest.raises(CertificateError, match="off the integer grid"):
+            burling._div(7, 2)
+        assert burling._div(-12, 4) == -3
+        monkeypatch.setattr(burling, "_scale_bits", lambda level: 3 if level == 1 else 8)
+        with pytest.raises(CertificateError, match="off the integer grid"):
+            generate(2)
+
+    def test_probe_path_makes_no_fraction(self, monkeypatch):
+        from fractions import Fraction
+
+        from curvefam import svgrender
+
+        for module in (burling, svgrender):
+            assert not any(v is Fraction for v in vars(module).values())
+        made = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        svgrender.render_family(generate(4))
+        assert made == []
+        Fraction(1, 2)
+        assert made == [(1, 2)]
 
     def test_deterministic(self):
         a, b = generate(3), generate(3)
@@ -408,12 +441,11 @@ class TestLRFamily:
 
 
 def _layout(*members):
-    """A one-probe layout over the strip [4/8, 6/8] with the given members."""
-    e = Fraction(1, 8)
-    rm = [burling._RMember(f"m{i}", *(v * e for v in coords))
-          for i, coords in enumerate(members)]
-    node = burling.BurlingNode(level=1, member_id="m0", probe=Probe(4 * e, 6 * e))
-    return burling._RInst(tuple(rm), node), 4 * e, 6 * e
+    """A one-probe layout over the strip [4/8, 6/8] with the given members,
+    at the level-1 layout scale 2**3."""
+    rm = [burling._RMember(f"m{i}", *coords) for i, coords in enumerate(members)]
+    node = burling.BurlingNode(level=1, member_id="m0", probe=Probe(4, 6))
+    return burling._RInst(tuple(rm), node), 4, 6
 
 
 # member coordinates in eighths: (lx, ltop, rx, rh, rend)

@@ -155,6 +155,21 @@ def test_malformed_double_curve_file(tmp_path, capsys, mutate):
     assert "FileFormatError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("right, message", [
+    ([[2, 0], [2, 1], [5, 1], [3, 1]], "'x.R' folds back on itself at edge 1-2"),
+    ([[2, 0], [2, 3], [5, 3], [5, 2], [2, 2]], "'x.R' self-intersects between edges 0 and 3"),
+])
+def test_self_meeting_double_curve_part(tmp_path, capsys, right, message):
+    # X_1 with its right 1-curve folding back on its arm, or coming back to
+    # its own stem; every other check would pass
+    doc = familyfile.burling_to_jsonable(generate(1))
+    doc["curves"][0]["parts"][1] = right
+    path = tmp_path / "x1.json"
+    path.write_text(familyfile.dump_json(doc))
+    assert main(["verify-family", str(path)]) == 2
+    assert f"ContractError: polyline {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["color", "--exact", "--family"], ["omega", "--family"],
                                      ["verify-family"]])
 def test_overlapping_double_curves(tmp_path, capsys, command):
@@ -319,6 +334,25 @@ class TestCli:
         path = tmp_path / f"x{k}.json"
         assert main(["gen-burling", "--k", str(k), "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    # sha256 of `render` on gen-burling files and of `gen-burling --svg`,
+    # pinned while render_svg still computed in Fractions
+    @pytest.mark.parametrize("k, via, digest", [
+        (1, "render", "63ae9c83930a84c8eff378c0f98d54fab290cb28d280df1de1c4bc4150792b55"),
+        (2, "render", "1e0cdf4e9368909140c69995a2bcf662a73ad38f73136f741b18d2c80ffe19e9"),
+        (3, "render", "91f4f054bc0df658a4313016707861e611be1399726d2edf5db3ad4cb0571b7f"),
+        (4, "render", "91553eda03b36b90faa89476165c44a1f5366161eff53629b842f940f115d5f4"),
+        (3, "gen", "91f4f054bc0df658a4313016707861e611be1399726d2edf5db3ad4cb0571b7f"),
+    ])
+    def test_render_golden_bytes(self, tmp_path, k, via, digest):
+        fam_path, svg_path = tmp_path / f"x{k}.json", tmp_path / f"x{k}.svg"
+        gen = ["gen-burling", "--k", str(k), "--out", str(fam_path)]
+        if via == "gen":
+            assert main([*gen, "--svg", str(svg_path)]) == 0
+        else:
+            assert main(gen) == 0
+            assert main(["render", str(fam_path), "--out", str(svg_path)]) == 0
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == digest
 
     # sha256 of every file the reductions write on one seeded lr2 family and
     # one seeded two_t family; computed before the reductions read the
@@ -510,6 +544,23 @@ class TestCli:
         assert main(["render", fam_path, "--out", svg_path]) == 0
         body = open(svg_path).read()
         assert body.startswith("<svg") and "polyline" in body and "rect" in body
+
+    def test_audit_builds_one_graph(self, tmp_path, capsys, monkeypatch):
+        # the greedy colouring and the audit's properness check share X_3's graph
+        from curvefam import burling
+
+        fam_path = str(tmp_path / "x3.json")
+        familyfile.save(generate(3), fam_path)
+        built = []
+        real = burling.graph_from_edges
+
+        def counting(*args):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(burling, "graph_from_edges", counting)
+        assert main(["audit-burling", fam_path, "--greedy-seed", "11"]) == 0
+        assert built == [13]
 
     def test_reduce_pipeline(self, tmp_path, capsys):
         fam = two_t_family(random.Random(9), max_members=6)
