@@ -23,13 +23,12 @@ import gc
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Optional
 
 from .errors import CertificateError, ContractError, ImproperColoring
-from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, polyline_meets_vstrip,
-                       polylines_disjoint, validate_simple)
+from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, cached_attribute,
+                       polyline_meets_vstrip, polylines_disjoint, validate_simple)
 from .families import pair_points, validate_lr
 from .graphcore import Coloring, IntersectionGraph, find_triangle, graph_from_edges, is_proper
 
@@ -41,7 +40,7 @@ def expected_sizes(k: int):
     return n, p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Probe:
     """A vertical strip of the upper half-plane over [x_lo, x_hi]. The
     generator lays strips out with int ends at its layout scale, then
@@ -70,12 +69,12 @@ class DoubleCurve:
     def __post_init__(self):
         for name, poly in (("left", self.left), ("right", self.right)):
             validate_simple(poly)
-            foot = poly.points[0]
-            if foot.y != 0:
+            if poly.points[0].y != 0:
                 raise ContractError(f"{self.id!r}.{name} must start on the baseline")
-            if any(p.y <= 0 for p in poly.points[1:]):
-                raise ContractError(
-                    f"{self.id!r}.{name} must stay strictly above the baseline")
+            for p in poly.points[1:]:
+                if p.y <= 0:
+                    raise ContractError(
+                        f"{self.id!r}.{name} must stay strictly above the baseline")
         if self.left.points[0].x >= self.right.points[0].x:
             raise ContractError(
                 f"{self.id!r}: left basepoint must precede the right one")
@@ -144,12 +143,12 @@ class BurlingInstance:
     probes: tuple
     tree: BurlingNode
 
-    @cached_property
+    @cached_attribute
     def pairs(self) -> dict:
         """The part-labelled pair map, computed on first use; see pair_points."""
         return pair_points(self.members)
 
-    @cached_property
+    @cached_attribute
     def _graph(self) -> IntersectionGraph:
         return graph_from_edges(len(self.members), self.pairs,
                                 tuple(m.id for m in self.members))
@@ -310,10 +309,10 @@ def _ranker(values):
 
 @contextmanager
 def _cyclic_gc_paused():
-    """Pause the cyclic garbage collector. The generator builds no reference
-    cycles, and nearly all it builds outlives the call, so the collector's
-    passes over it would free nothing; on X_5 they took about 40 % of the
-    generator's CPU time."""
+    """Pause the cyclic garbage collector. The generator and the family-file
+    loader build no reference cycles, and nearly all they build outlives the
+    call, so the collector's passes over it would free nothing; on X_5 they
+    took about 40 % of the CPU time of each."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -477,6 +476,31 @@ def verify_properties(inst: BurlingInstance) -> BurlingReport:
     return BurlingReport(tuple(checks))
 
 
+def _descend(node: BurlingNode, coloring: Mapping[str, int], colors_on):
+    """(index in node.probes, colors) of a probe of node with >= node.level
+    colors; not a closure, which calling itself would be a reference cycle."""
+    if node.level == 1:
+        return 0, colors_on(node, node.probe)
+    i, colors_p = _descend(node.outer, coloring, colors_on)
+    j, colors_q = _descend(node.inner[i], coloring, colors_on)
+
+    gadget = node.gadgets[i][j]
+    if colors_p != colors_q:
+        picked = gadget.a
+    else:
+        x_color = coloring[gadget.x_id]
+        if x_color in colors_p:
+            raise CertificateError(
+                "new double-curve shares a color with the set it crosses")
+        picked = gadget.b
+    idx = node.probes.index(picked)
+    colors = colors_on(node, picked)
+    if len(colors) < node.level:
+        raise CertificateError(
+            f"audit invariant broken: {len(colors)} colors at level {node.level}")
+    return idx, colors
+
+
 @dataclass(frozen=True)
 class AuditResult:
     probe: Probe
@@ -508,29 +532,7 @@ def audit_coloring(inst: BurlingInstance, coloring: Mapping[str, int]) -> AuditR
         ((_, crossing),) = strip_hits(members, [probe])
         return frozenset(coloring[members[i].id] for i in crossing)
 
-    def descend(node: BurlingNode):
-        if node.level == 1:
-            return 0, colors_on(node, node.probe)
-        i, colors_p = descend(node.outer)
-        j, colors_q = descend(node.inner[i])
-
-        gadget = node.gadgets[i][j]
-        if colors_p != colors_q:
-            picked = gadget.a
-        else:
-            x_color = coloring[gadget.x_id]
-            if x_color in colors_p:
-                raise CertificateError(
-                    "new double-curve shares a color with the set it crosses")
-            picked = gadget.b
-        idx = node.probes.index(picked)
-        colors = colors_on(node, picked)
-        if len(colors) < node.level:
-            raise CertificateError(
-                f"audit invariant broken: {len(colors)} colors at level {node.level}")
-        return idx, colors
-
-    idx, colors = descend(inst.tree)
+    idx, colors = _descend(inst.tree, coloring, colors_on)
     if len(colors) < inst.k:
         raise CertificateError("audit returned fewer colors than the level")
     return AuditResult(inst.probes[idx], idx, colors)

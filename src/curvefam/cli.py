@@ -69,7 +69,7 @@ def _load_coloring(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:   # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, or too deep
         raise FileFormatError(f"{path}: bad coloring file ({exc})") from None
     colors = doc.get("colors") if isinstance(doc, dict) else None
     if not isinstance(colors, dict):

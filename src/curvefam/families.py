@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -27,6 +26,7 @@ from .geometry import (
     Polyline,
     SegRelation,
     baseline_crossings_along,
+    cached_attribute,
     segment_intersection,
     segments_intersect,
     validate_simple,
@@ -180,7 +180,7 @@ class CurveFamily:
     def ids(self) -> list:
         return [m.id for m in self.members]
 
-    @cached_property
+    @cached_attribute
     def pairs(self) -> dict:
         """The part-labelled pair map, computed on first use; see pair_points."""
         return pair_points(self.members)
@@ -329,7 +329,7 @@ def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None,
     out = []
     for group, pairs in zip(groups, maps):
         sub = CurveFamily(tuple(m for _, m in group), kind, t)
-        sub.__dict__["pairs"] = pairs       # where the cached property keeps it
+        sub.__dict__["pairs"] = pairs       # where the cached attribute keeps it
         out.append(sub)
     return out
 

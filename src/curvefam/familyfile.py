@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from typing import Union
 
-from .burling import BurlingInstance, BurlingNode, DoubleCurve, Gadget, Probe
+from .burling import BurlingInstance, BurlingNode, DoubleCurve, Gadget, Probe, _cyclic_gc_paused
 from .errors import FileFormatError
 from .families import (
     CurveFamily,
@@ -30,13 +30,18 @@ from .families import (
 )
 from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline
 
+# Slot setters build a Point or Probe without __post_init__: the readers
+# below test each coordinate and probe once, inline, themselves.
+_set_x, _set_y = Point.x.__set__, Point.y.__set__
+_set_lo, _set_hi = Probe.x_lo.__set__, Probe.x_hi.__set__
+
 
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _check_int(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
+    if type(v) is not int:
         raise FileFormatError(f"{what} must be an exact integer, got {v!r}")
     if abs(v) > MAX_COORD_MAGNITUDE:
         raise FileFormatError(f"{what} exceeds the 2**62 magnitude contract")
@@ -64,18 +69,32 @@ def _curve_id(row) -> str:
 def _probe_from_json(row, what: str) -> Probe:
     if not isinstance(row, list) or len(row) != 2:
         raise FileFormatError(f"{what} must be [x_lo, x_hi], got {row!r:.60}")
-    lo, hi = _check_int(row[0], what), _check_int(row[1], what)
-    if lo >= hi:
+    lo, hi = row
+    if not (type(lo) is int and type(hi) is int
+            and -MAX_COORD_MAGNITUDE <= lo < hi <= MAX_COORD_MAGNITUDE):
+        _check_int(lo, what)
+        _check_int(hi, what)
         raise FileFormatError(f"{what} [{lo}, {hi}] needs x_lo < x_hi")
-    return Probe(lo, hi)
+    probe = object.__new__(Probe)
+    _set_lo(probe, lo)
+    _set_hi(probe, hi)
+    return probe
 
 
 def _points_from_json(rows, what: str):
     pts = []
+    m = MAX_COORD_MAGNITUDE
     for row in _typed(rows, list, f"{what} points"):
         if not isinstance(row, (list, tuple)) or len(row) != 2:
             raise FileFormatError(f"{what}: point must be [x, y], got {row!r}")
-        pts.append(Point(_check_int(row[0], what), _check_int(row[1], what)))
+        x, y = row
+        if not (type(x) is int and type(y) is int and -m <= x <= m and -m <= y <= m):
+            _check_int(x, what)     # one of the two raises
+            _check_int(y, what)
+        p = object.__new__(Point)
+        _set_x(p, x)
+        _set_y(p, y)
+        pts.append(p)
     return tuple(pts)
 
 
@@ -253,15 +272,16 @@ def save(obj: Union[CurveFamily, BurlingInstance], path: str) -> None:
 
 def load(path: str) -> Union[CurveFamily, BurlingInstance]:
     """Load a family file; kind "double" yields a BurlingInstance."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
-    if _check_int(doc.get("scale", 1), "scale") < 1:
-        raise FileFormatError(f"{path}: scale must be a positive integer")
-    if doc.get("kind") == "double":
-        return burling_from_jsonable(doc)
-    return family_from_jsonable(doc)
+    with _cyclic_gc_paused():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise FileFormatError(f"{path}: top level must be an object")
+        if _check_int(doc.get("scale", 1), "scale") < 1:
+            raise FileFormatError(f"{path}: scale must be a positive integer")
+        if doc.get("kind") == "double":
+            return burling_from_jsonable(doc)
+        return family_from_jsonable(doc)

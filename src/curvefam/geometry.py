@@ -46,7 +46,19 @@ def is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
+class cached_attribute(cached_property):
+    """functools.cached_property without the lock its first read takes on
+    Python 3.11: the value goes to the instance __dict__, which reads consult
+    before this descriptor."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
+
+
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point with exact coordinates. y = 0 is the baseline."""
 
@@ -177,25 +189,31 @@ class Polyline:
             if a == b:
                 raise ContractError(f"polyline {self.id!r} repeats vertex {a}")
 
-    # Lazy caches: functools.cached_property stores the value in the
-    # instance __dict__, so later reads are plain attribute loads (the
-    # frozen dataclass forbids only __setattr__).
-    @cached_property
+    @cached_attribute
     def segments(self):
         return tuple(zip(self.points, self.points[1:]))
 
-    @cached_property
+    @cached_attribute
     def segment_boxes(self):
         """Per segment ab, the tuple (xmin, xmax, ymin, ymax, a, b)."""
         return tuple((a.x if a.x < b.x else b.x, b.x if a.x < b.x else a.x,
                       a.y if a.y < b.y else b.y, b.y if a.y < b.y else a.y, a, b)
                      for a, b in self.segments)
 
-    @cached_property
+    @cached_attribute
     def bbox(self):
-        xs = [p.x for p in self.points]
-        ys = [p.y for p in self.points]
-        return (min(xs), min(ys), max(xs), max(ys))
+        p = self.points[0]
+        x0, y0, x1, y1 = p.x, p.y, p.x, p.y
+        for p in self.points:
+            if p.x < x0:
+                x0 = p.x
+            elif p.x > x1:
+                x1 = p.x
+            if p.y < y0:
+                y0 = p.y
+            elif p.y > y1:
+                y1 = p.y
+        return (x0, y0, x1, y1)
 
     def reversed(self) -> "Polyline":
         return Polyline(tuple(reversed(self.points)), self.id)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -131,8 +132,9 @@ def induced_subgraph(G: IntersectionGraph, vertices: Sequence[int]):
     for i, v in enumerate(vs):
         for u in _bits(G.adj[v] & keep):
             adj[i] |= 1 << index[u]
-    return IntersectionGraph(len(vs), tuple(adj),
-                             tuple(G.labels[v] for v in vs)), vs
+    sub = object.__new__(IntersectionGraph)     # G was checked: no second check
+    vars(sub).update(n=len(vs), adj=tuple(adj), labels=tuple(G.labels[v] for v in vs))
+    return sub, vs
 
 
 @dataclass(frozen=True)
@@ -260,23 +262,21 @@ def find_triangle(G: IntersectionGraph):
 def _kernelize(G: IntersectionGraph, c: int):
     """Iteratively strip vertices of degree < c; they are always colorable.
 
-    Returns (core vertex list, removal stack in removal order).
+    Returns (core vertex list, removal stack in removal order): the order of
+    passes over the live vertices by increasing index, each removing every
+    vertex of degree < c it reaches; a heap of (pass, vertex), O(m log n).
     """
-    alive = set(range(G.n))
-    deg = {v: G.degree(v) for v in alive}
+    deg = [a.bit_count() for a in G.adj]    # unremoved neighbours: c - 1 once
+    due = [(0, v) for v in range(G.n) if deg[v] < c]       # sorted: a heap
     removed = []
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if deg[v] < c:
-                alive.remove(v)
-                removed.append(v)
-                for u in _bits(G.adj[v]):
-                    if u in alive:
-                        deg[u] -= 1
-                changed = True
-    return sorted(alive), removed
+    while due:
+        p, v = heappop(due)
+        removed.append(v)
+        for u in _bits(G.adj[v]):
+            deg[u] -= 1
+            if deg[u] == c - 1:
+                heappush(due, (p + (u < v), u))     # behind v: the next pass
+    return [v for v in range(G.n) if deg[v] >= c], removed
 
 
 def chromatic_decision(G: IntersectionGraph, c: int, budget=None) -> Optional[Coloring]:

@@ -200,3 +200,27 @@ def connectivity_oracle(polylines, res: int = 4):
             raise AssertionError("a polyline rasterized into disconnected labels")
         comp.append(int(ls.pop()))
     return comp
+
+
+def kernelize_by_passes(adj, c: int):
+    """The exact solver's kernel, peeled as it was before it used a heap:
+    each pass walks the live vertices in increasing order and removes every
+    one whose live degree is below c when the walk reaches it, until a pass
+    removes none. Returns (core, removal order). O(n) per pass and up to n
+    passes, with plain integer bit tests."""
+    n = len(adj)
+    alive = set(range(n))
+    deg = {v: bin(adj[v]).count("1") for v in alive}
+    removed = []
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive):
+            if deg[v] < c:
+                alive.remove(v)
+                removed.append(v)
+                for u in range(n):
+                    if adj[v] >> u & 1 and u in alive:
+                        deg[u] -= 1
+                changed = True
+    return sorted(alive), removed

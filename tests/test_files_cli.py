@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 
 import curvefam
 from curvefam import cli, familyfile, reductions
-from curvefam.burling import generate
+from curvefam.burling import Probe, generate
 from curvefam.cli import main
 from curvefam.errors import FileFormatError
 from curvefam.families import CurveFamily, FamilyKind, decompose_even_curve
@@ -155,6 +157,81 @@ def test_malformed_double_curve_file(tmp_path, capsys, mutate):
     assert "FileFormatError" in capsys.readouterr().err
 
 
+def _x2_doc():
+    return familyfile.burling_to_jsonable(generate(2))
+
+
+def _one_curve_doc():
+    return {"scale": 1, "kind": "one_curve",
+            "curves": [{"id": "a", "points": [[0, 0], [0, 2], [3, 2]]}]}
+
+
+def _at(doc, path, value):
+    """doc with doc[path[0]][path[1]]... set to value."""
+    *outer, last = path
+    for key in outer:
+        doc = doc[key]
+    doc[last] = value
+
+
+_OX_L, _OX_R = ("curves", 0, "parts", 0), ("curves", 0, "parts", 1)
+_FILE_ERRORS = [
+    # (file, where, value, exit code, stderr), each message as the loader
+    # printed it before it checked each fact once
+    (_x2_doc, _OX_L + (1, 0), True, 4, "FileFormatError: o.x.L must be an exact integer, got True"),
+    (_x2_doc, _OX_R + (2, 1), 1.5, 4, "FileFormatError: o.x.R must be an exact integer, got 1.5"),
+    (_x2_doc, _OX_R + (0, 0), "1", 4, "FileFormatError: o.x.R must be an exact integer, got '1'"),
+    (_x2_doc, _OX_L + (1, 1), 2**62 + 1, 4,
+     "FileFormatError: o.x.L exceeds the 2**62 magnitude contract"),
+    (_x2_doc, _OX_L + (1,), [1], 4, "FileFormatError: o.x.L: point must be [x, y], got [1]"),
+    (_x2_doc, _OX_R + (2,), [1, 2, 3], 4,
+     "FileFormatError: o.x.R: point must be [x, y], got [1, 2, 3]"),
+    (_x2_doc, _OX_R + (1,), 5, 4, "FileFormatError: o.x.R: point must be [x, y], got 5"),
+    (_x2_doc, _OX_R, [[2, 0], [2, 4], [2, 4], [17, 4]], 2,
+     "ContractError: polyline 'o.x.R' repeats vertex Point(x=2, y=4)"),
+    (_x2_doc, _OX_L, [[1, 1], [1, 5]], 2, "ContractError: 'o.x'.left must start on the baseline"),
+    (_x2_doc, _OX_R, [[2, 0], [2, 4], [17, 4], [17, 0]], 2,
+     "ContractError: 'o.x'.right must stay strictly above the baseline"),
+    (_x2_doc, _OX_L, [[18, 0], [18, 5]], 2,
+     "ContractError: 'o.x': left basepoint must precede the right one"),
+    (_x2_doc, _OX_R, [[2, 0], [2, 4], [0, 4]], 2,
+     "ContractError: 'o.x': the two 1-curves must be disjoint"),
+    (_x2_doc, ("probes", 0), [5, 5], 4, "FileFormatError: probe [5, 5] needs x_lo < x_hi"),
+    (_x2_doc, ("probes", 0), [5], 4, "FileFormatError: probe must be [x_lo, x_hi], got [5]"),
+    (_x2_doc, ("probes", 0), [True, 6], 4,
+     "FileFormatError: probe must be an exact integer, got True"),
+    (_x2_doc, ("burling", "tree", "gadgets", 0, 0, "b"), [14, 13], 4,
+     "FileFormatError: probe [14, 13] needs x_lo < x_hi"),
+    (_one_curve_doc, ("curves", 0, "points", 0, 0), True, 4,
+     "FileFormatError: curve 'a' must be an exact integer, got True"),
+    (_one_curve_doc, ("curves", 0, "points", 1, 1), 1.5, 4,
+     "FileFormatError: curve 'a' must be an exact integer, got 1.5"),
+    (_one_curve_doc, ("curves", 0, "points", 2, 0), "1", 4,
+     "FileFormatError: curve 'a' must be an exact integer, got '1'"),
+    (_one_curve_doc, ("curves", 0, "points", 2, 1), -2**62 - 1, 4,
+     "FileFormatError: curve 'a' exceeds the 2**62 magnitude contract"),
+    (_one_curve_doc, ("curves", 0, "points", 1), [1], 4,
+     "FileFormatError: curve 'a': point must be [x, y], got [1]"),
+    (_one_curve_doc, ("curves", 0, "points", 1), [1, 2, 3], 4,
+     "FileFormatError: curve 'a': point must be [x, y], got [1, 2, 3]"),
+    (_one_curve_doc, ("curves", 0, "points", 0), 5, 4,
+     "FileFormatError: curve 'a': point must be [x, y], got 5"),
+    (_one_curve_doc, ("curves", 0, "points"), [[0, 0], [0, 2], [0, 2], [3, 2]], 2,
+     "ContractError: polyline 'a' repeats vertex Point(x=0, y=2)"),
+]
+
+
+@pytest.mark.parametrize("make, where, value, code, message", _FILE_ERRORS,
+                         ids=[f"{m.__name__[1:-4]}-{i}" for i, (m, *_) in enumerate(_FILE_ERRORS)])
+def test_loader_error_table(tmp_path, capsys, make, where, value, code, message):
+    doc = make()
+    _at(doc, where, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-family", str(path)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("right, message", [
     ([[2, 0], [2, 1], [5, 1], [3, 1]], "'x.R' folds back on itself at edge 1-2"),
     ([[2, 0], [2, 3], [5, 3], [5, 2], [2, 2]], "'x.R' self-intersects between edges 0 and 3"),
@@ -252,6 +329,31 @@ def test_malformed_coloring_file(tmp_path, capsys, doc):
     assert "FileFormatError" in capsys.readouterr().err
 
 
+def test_loader_checks_each_coordinate_once(tmp_path, monkeypatch):
+    # the loader tests every coordinate and probe end itself, so Point and
+    # Probe are built without their constructors' type and width tests
+    path = str(tmp_path / "x3.json")
+    familyfile.save(generate(3), path)
+    for cls in (P, Probe):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("checked twice"))
+    assert len(familyfile.load(path).members) == 13
+
+
+@pytest.mark.parametrize("argv", [["verify-family", "{deep}"],
+                                  ["audit-burling", "{x2}", "--coloring", "{deep}"]],
+                         ids=["family", "coloring"])
+def test_deeply_nested_json(tmp_path, capsys, argv):
+    # json.load raised RecursionError here, and the CLI ended in a traceback
+    paths = {"deep": str(tmp_path / "deep.json"), "x2": str(tmp_path / "x2.json")}
+    with open(paths["deep"], "w") as fh:
+        fh.write("[" * 100_000 + "]" * 100_000)
+    familyfile.save(generate(2), paths["x2"])
+    assert main([a.format(**paths) for a in argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FileFormatError: {paths['deep']}: ")
+    assert "maximum recursion depth exceeded" in err
+
+
 def _left_part_in_probe_0(doc):
     lo, hi = doc["probes"][0]
     gadget = next(c for c in doc["curves"] if c["id"] == "p0.g0.0")
@@ -291,6 +393,16 @@ class TestCertificateChecks:
         assert doc["palette"] == 3 and set(doc["colors"]) == set(g.labels)
         assert all(doc["colors"][g.labels[u]] != doc["colors"][g.labels[v]]
                    for u, v in g.edges())
+
+    def test_no_assert_in_src(self):
+        # python -O strips assert statements, and every check of the library
+        # must run under it; pytest.fail, unlike a bare assert, runs there too
+        src = pathlib.Path(curvefam.__file__).parent
+        found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        if found:
+            pytest.fail(f"assert statements in {src}: {', '.join(found)}")
 
     def test_improper_exact_witness_rejected(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "path.txt"
