@@ -22,6 +22,7 @@ from .errors import (
     ImproperColoring,
     SolverBudgetExceeded,
 )
+from .geometry import MAX_GENERATED_CURVES
 
 ENV_NODE_BUDGET = "CURVEFAM_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -105,6 +106,8 @@ def graph_from_edges(n: int, edges: Iterable, labels=None) -> IntersectionGraph:
     for u, v in edges:
         if u == v:
             raise ContractError(f"self-loop at {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ContractError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if labels is None:
@@ -284,7 +287,8 @@ def chromatic_decision(G: IntersectionGraph, c: int, budget=None) -> Optional[Co
 
     Returns a witness Coloring using at most c colors, or None after an
     exhaustive refutation. Degree-< c vertices are stripped first and
-    recolored greedily afterwards, which preserves the decision.
+    recolored greedily afterwards, which preserves the decision; a core
+    that keeps every vertex is G itself, searched without a copy.
     """
     budget = _as_budget(budget)
     if c < 0:
@@ -297,7 +301,7 @@ def chromatic_decision(G: IntersectionGraph, c: int, budget=None) -> Optional[Co
     colors = [-1] * G.n
 
     if core:
-        sub, mapping = induced_subgraph(G, core)
+        sub, mapping = induced_subgraph(G, core) if removed else (G, core)
         sub_colors = _decide_core(sub, c, budget)
         if sub_colors is None:
             return None
@@ -325,36 +329,20 @@ def _bit_slices(masks) -> list:
     return slices
 
 
-def _count_is(slices: list, t: int, within: int) -> int:
-    """The vertices of within whose bit-sliced count equals t."""
-    if t >> len(slices):
-        return 0
-    for i, s in enumerate(slices):
-        within &= s if (t >> i) & 1 else ~s
-    return within
-
-
-def _dsatur_pick(uncolored: int, count: list, degree: list) -> int:
-    """The DSATUR pick among uncolored, given bit-sliced counts of classes
-    seen and of degrees: most classes seen, then highest degree, then lowest
-    index."""
-    pick = uncolored
-    for s in [*reversed(count), *reversed(degree)]:
-        if pick & s:
-            pick &= s
-    return (pick & -pick).bit_length() - 1
-
-
 def _dsatur_heuristic(G: IntersectionGraph) -> Coloring:
     """DSATUR without backtracking: each pick takes its least free class."""
     adj = G.adj
     colors = [-1] * G.n
-    degree = _bit_slices(adj)
+    degree = _bit_slices(adj)[::-1]
     seen: list = []           # seen[k]: the vertices with a neighbor colored k
     count: list = []          # bit-sliced number of classes each vertex sees
     uncolored = (1 << G.n) - 1
     while uncolored:
-        v = _dsatur_pick(uncolored, count, degree)
+        pick = uncolored      # most classes seen, then highest degree, then lowest index
+        for s in [*reversed(count), *degree]:
+            if pick & s:
+                pick &= s
+        v = (pick & -pick).bit_length() - 1
         for col, s in enumerate(seen):
             if not (s >> v) & 1:
                 break
@@ -368,75 +356,105 @@ def _dsatur_heuristic(G: IntersectionGraph) -> Coloring:
     return Coloring(tuple(colors))
 
 
+def _saturate(sat: list, add: int) -> None:
+    """Let every vertex of add see one more class, in place: sat[j] holds the
+    vertices that see more than j classes, so add moves up one level."""
+    for j, s in enumerate(sat):
+        if not add:
+            return
+        sat[j] = s | add
+        add &= s
+
+
 def _decide_core(G: IntersectionGraph, c: int, budget: Budget) -> Optional[list]:
     """DSATUR over bitset states (Brelaz 1979; San Segundo 2012).
 
-    A state is (uncolored mask, seen, count, classes opened, path): seen[k]
-    holds the vertices with a neighbor colored k, count is the bit-sliced
-    number of classes each vertex sees, carried from parent to child, and
-    path links each (vertex, color) assignment back to the root. Children
-    are fresh copies, so backtracking drops a state and undoes nothing.
+    A state is (uncolored mask, seen, sat, classes opened, path): seen[k]
+    holds the vertices with a neighbor colored k, sat[j] those that see more
+    than j classes, and path links each (vertex mask, color) assignment back
+    to the root. Children are fresh copies, so backtracking drops a state
+    and undoes nothing. c >= 2 here: at c = 1 a core has an edge, so its
+    clique already exceeds c.
 
     A vertex that sees all c classes is a wipeout; one that sees c - 1 is
-    forced to its free class. Forced vertices are assigned a round at a
-    time. The order of the assignments does not matter: each one only
-    shrinks the free classes of the others, so every forced vertex keeps
-    its one free class or is wiped out, and forward checking reaches the
-    same fixpoint, or a wipeout, in any order. The nodes, the picks and the
-    witness are those of assigning the lowest forced vertex one at a time.
+    forced to its free class. Forced vertices are settled a round at a time,
+    one color class at a time. Assigning a vertex to class k changes only
+    seen[k], so only a forced vertex whose free class is also k can lose its
+    last class, and only to a forced neighbor: the round is a wipeout if and
+    only if two forced vertices with the same free class are adjacent, and
+    otherwise every forced vertex takes its free class, in any order. The
+    nodes, the picks and the witness are those of assigning the lowest
+    forced vertex one at a time.
     """
-    adj = G.adj
+    adj, n = G.adj, G.n
     clique = maximum_clique(G, budget)
     if len(clique) > c:
         return None
-    degree = _bit_slices(adj)     # v is in adj[u] for each neighbor u of v
+    degree = _bit_slices(adj)[::-1]    # v is in adj[u] for each neighbor u of v
     seen = [0] * c
-    uncolored = (1 << G.n) - 1
+    sat = [0] * c
+    uncolored = (1 << n) - 1
     path = None
     for col, v in enumerate(clique):
-        seen[col] |= adj[v]
+        _saturate(sat, adj[v])
+        seen[col] = adj[v]
         uncolored ^= 1 << v
-        path = (v, col, path)
-    stack = [(uncolored, seen, _bit_slices(seen), len(clique), path)]
+        path = (1 << v, col, path)
+    stack = [(uncolored, seen, sat, len(clique), path)]
     while stack:
-        uncolored, seen, count, opened, path = stack.pop()
+        uncolored, seen, sat, opened, path = stack.pop()
         budget.tick()
-        while not _count_is(count, c, uncolored):   # no vertex sees every class
-            forced = _count_is(count, c - 1, uncolored)
+        while not sat[c - 1] & uncolored:       # no vertex sees every class
+            forced = sat[c - 2] & uncolored
             if forced:
-                # every forced vertex, lowest first, takes its one free class;
-                # one left with none ends the round, and the loop test sees it
-                while forced:
-                    low = forced & -forced
-                    v = low.bit_length() - 1
-                    for col, s in enumerate(seen):
-                        if not (s >> v) & 1:
-                            break
-                    else:
-                        break          # a forced neighbor took its last class
-                    _add_to_count(count, adj[v] & ~s)
-                    seen[col] = s | adj[v]
-                    uncolored ^= low
-                    forced ^= low
+                for col, s in enumerate(seen):
+                    take = forced & ~s          # the forced vertices free only in col
+                    if not take:
+                        continue
+                    union, rest = 0, take
+                    while rest:
+                        low = rest & -rest
+                        union |= adj[low.bit_length() - 1]
+                        rest ^= low
+                    if union & take:
+                        break                   # two of them are neighbors
+                    _saturate(sat, union & ~s)
+                    seen[col] = s | union
+                    uncolored ^= take
                     if col >= opened:
                         opened = col + 1
-                    path = (v, col, path)
-                continue
+                    path = (take, col, path)
+                else:
+                    continue                    # the round is settled: test again
+                break                           # a wipeout: no children
             if not uncolored:
-                colors = [-1] * G.n
+                colors = [-1] * n
                 while path:
-                    v, col, path = path
-                    colors[v] = col
+                    mask, col, path = path
+                    for v in _bits(mask):
+                        colors[v] = col
                 return colors
-            v = _dsatur_pick(uncolored, count, degree)
+            # the DSATUR pick: most classes seen, then highest degree, then
+            # lowest index
+            pick = uncolored
+            for s in reversed(sat):
+                if pick & s:
+                    pick &= s
+                    break
+            for s in degree:
+                if pick & s:
+                    pick &= s
+            v = (pick & -pick).bit_length() - 1
+            row, bit = adj[v], 1 << v
             # new classes open in index order; push so the lowest pops first
             for col in reversed(range(min(c, opened + 1))):
-                if not (seen[col] >> v) & 1:
-                    child, child_count = seen[:], count[:]
-                    _add_to_count(child_count, adj[v] & ~seen[col])
-                    child[col] |= adj[v]
-                    stack.append((uncolored ^ 1 << v, child, child_count,
-                                  max(opened, col + 1), (v, col, path)))
+                s = seen[col]
+                if not s & bit:
+                    child, child_sat = seen[:], sat[:]
+                    child[col] = s | row
+                    _saturate(child_sat, row & ~s)
+                    stack.append((uncolored ^ bit, child, child_sat,
+                                  max(opened, col + 1), (bit, col, path)))
             break
     return None
 
@@ -489,8 +507,8 @@ def parse_edge_list(text: str) -> IntersectionGraph:
             edges.append((u, v))
     except ValueError as exc:
         raise FileFormatError(f"bad edge list: {exc}") from None
-    if n < 0:
-        raise FileFormatError(f"vertex count must be nonnegative, got {n}")
+    if not 0 <= n <= MAX_GENERATED_CURVES:     # checked before [0] * n is allocated
+        raise FileFormatError(f"vertex count must be in 0..{MAX_GENERATED_CURVES}, got {n}")
     if len(edges) != m:
         raise FileFormatError(f"expected {m} edges, found {len(edges)}")
     pairs = set()

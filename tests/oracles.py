@@ -224,3 +224,59 @@ def kernelize_by_passes(adj, c: int):
                         deg[u] -= 1
                 changed = True
     return sorted(alive), removed
+
+
+def decide_one_at_a_time(adj, c: int, clique):
+    """The exact solver's c-colouring search on a kernel core, as it was
+    before it settled forced vertices a colour class at a time, in plain
+    sets and lists. clique is the maximum clique the search starts from,
+    one class per vertex in order. Each state pops from a stack and counts
+    one node; then, until a vertex sees every class, each round gives every
+    vertex that sees c - 1 classes its free class, lowest vertex first,
+    until one has none left; with no forced vertex, the uncoloured vertex
+    seeing the most classes, then of highest degree, then lowest, is
+    branched on, lowest class popped first, at most one new class opened.
+
+    Returns (colours or None, nodes, rounds cut short by a forced vertex
+    left with no class while later forced vertices still wait)."""
+    n = len(adj)
+    nbrs = [[u for u in range(n) if adj[v] >> u & 1] for v in range(n)]
+    if len(clique) > c:
+        return None, 0, 0
+    colors = [-1] * n
+    for k, v in enumerate(clique):
+        colors[v] = k
+    stack = [(colors, len(clique))]
+    nodes = cut_rounds = 0
+
+    def sees(colors, v):
+        return {colors[u] for u in nbrs[v]} - {-1}
+
+    while stack:
+        colors, opened = stack.pop()
+        nodes += 1
+        while True:
+            free = [v for v in range(n) if colors[v] < 0]
+            saturation = {v: len(sees(colors, v)) for v in free}
+            if c in saturation.values():
+                break
+            forced = [v for v in free if saturation[v] == c - 1]
+            if forced:
+                for i, v in enumerate(forced):
+                    left = set(range(c)) - sees(colors, v)
+                    if not left:
+                        cut_rounds += i + 1 < len(forced)
+                        break
+                    colors[v] = left.pop()
+                    opened = max(opened, colors[v] + 1)
+                continue
+            if not free:
+                return colors, nodes, cut_rounds
+            v = max(free, key=lambda u: (saturation[u], len(nbrs[u]), -u))
+            for k in reversed(range(min(c, opened + 1))):
+                if k not in sees(colors, v):
+                    child = colors[:]
+                    child[v] = k
+                    stack.append((child, max(opened, k + 1)))
+            break
+    return None, nodes, cut_rounds

@@ -15,7 +15,7 @@ from curvefam.burling import Probe, generate
 from curvefam.cli import main
 from curvefam.errors import FileFormatError
 from curvefam.families import CurveFamily, FamilyKind, decompose_even_curve
-from curvefam.geometry import Point as P, Polyline
+from curvefam.geometry import MAX_GENERATED_CURVES, Point as P, Polyline
 from curvefam.graphcore import Coloring, build_graph, format_edge_list
 from generators import graph_with_chi_above, lr_family, mycielskian, two_t_family
 
@@ -593,9 +593,11 @@ class TestCli:
         assert main(["color", "--exact", "--graph", str(path)]) == 4
         assert "FileFormatError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body", ["3 1\n0 1 2\n", "3 1\n0\n", "2 1\n0 0\n"])
+    @pytest.mark.parametrize("body", ["3 1\n0 1 2\n", "3 1\n0\n", "2 1\n0 0\n",
+                                      f"{MAX_GENERATED_CURVES + 1} 0\n"])
     def test_malformed_edge_row(self, tmp_path, capsys, body):
-        # a row of three integers, a row of one, and a self-loop
+        # a row of three integers, a row of one, a self-loop, and a vertex
+        # count just above the cap, rejected before anything is allocated
         path = tmp_path / "bad.txt"
         path.write_text(body)
         assert main(["color", "--exact", "--graph", str(path)]) == 4

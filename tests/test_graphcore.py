@@ -15,6 +15,7 @@ from curvefam.errors import (
     ImproperColoring,
     SolverBudgetExceeded,
 )
+from curvefam.geometry import MAX_GENERATED_CURVES
 from curvefam.graphcore import (
     Budget,
     Coloring,
@@ -252,6 +253,11 @@ class TestGraphStructure:
         sub, mapping = induced_subgraph(g, [0, 1, 2])
         assert sub == want and mapping == [0, 1, 2]
 
+    @pytest.mark.parametrize("edge", [(0, -1), (-1, 0), (5, 0)])
+    def test_edge_endpoint_out_of_range(self, edge):
+        with pytest.raises(ContractError, match=rf"edge \({edge[0]},{edge[1]}\) has an endpoint"):
+            graph_from_edges(3, [(0, 1), edge])
+
     def test_symmetry_enforced(self):
         with pytest.raises(ContractError):
             IntersectionGraph(2, (0b10, 0b00), ("a", "b"))
@@ -270,6 +276,9 @@ class TestGraphStructure:
             parse_edge_list("3 1\n0 5\n")
         with pytest.raises(FileFormatError):
             parse_edge_list("")
+        # one vertex above the cap: rejected before [0] * n is allocated
+        with pytest.raises(FileFormatError, match=r"must be in 0\.\.1000000, got 1000001$"):
+            parse_edge_list(f"{MAX_GENERATED_CURVES + 1} 0\n")
 
 
 def _grotzsch():
@@ -335,22 +344,93 @@ def test_search_digest():
 MYCIELSKI_DIGEST = "7c52ad127766f6a596703881e8e951fe34f9d5146343bcf52ec80c572549d4c2"
 
 
-def _mycielski_digest_graphs():
-    from generators import mycielskian, mycielskian_of, triangle_free_process
+def _double_mycielskian(seed):
+    """The Mycielskian of the Mycielskian of a seeded 7-vertex triangle-free
+    graph, relabeled by the same seed."""
+    from generators import mycielskian_of, triangle_free_process
 
-    graphs = [mycielskian(k) for k in range(2, 6)]
-    for seed in range(20):
-        rng = random.Random(seed)
-        n, edges = mycielskian_of(*mycielskian_of(7, triangle_free_process(rng, 7)))
-        perm = list(range(n))
-        rng.shuffle(perm)
-        graphs.append(graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges]))
-    return graphs
+    rng = random.Random(seed)
+    n, edges = mycielskian_of(*mycielskian_of(7, triangle_free_process(rng, 7)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _mycielski_digest_graphs():
+    from generators import mycielskian
+
+    return [mycielskian(k) for k in range(2, 6)] + [_double_mycielskian(s) for s in range(20)]
 
 
 def test_mycielski_digest():
     text = "\n\n".join(_search_record(g, below=2) for g in _mycielski_digest_graphs())
     assert hashlib.sha256(text.encode()).hexdigest() == MYCIELSKI_DIGEST
+
+
+def _oracle_decision(g, c):
+    """chromatic_decision(g, c)'s witness colours (or None) and node count,
+    with the core peeled and searched by the plain-set oracles; the root
+    clique and its nodes come from maximum_clique on the same core."""
+    from oracles import decide_one_at_a_time, kernelize_by_passes
+
+    core, removed = kernelize_by_passes(g.adj, c)
+    colors, nodes, cut_rounds = [-1] * g.n, 0, 0
+    if core:
+        sub, _ = induced_subgraph(g, core)
+        budget = Budget(10 ** 8)
+        clique = maximum_clique(sub, budget)
+        sub_colors, nodes, cut_rounds = decide_one_at_a_time(sub.adj, c, clique)
+        nodes += 10 ** 8 - budget.remaining
+        if sub_colors is None:
+            return None, nodes, cut_rounds
+        for i, v in enumerate(core):
+            colors[v] = sub_colors[i]
+    for v in reversed(removed):
+        used = {colors[u] for u in range(g.n) if g.has_edge(u, v)}
+        colors[v] = min(set(range(g.n + 1)) - used)
+    return tuple(colors), nodes, cut_rounds
+
+
+def _oracle_graphs(family):
+    from generators import graph_with_chi_above
+
+    if family == "gnp":
+        return [_gnp(seed, 8 + seed % 25, (0.1, 0.2, 0.3, 0.5)[seed % 4]) for seed in range(80)]
+    if family == "chi-above":
+        return [graph_with_chi_above(random.Random(seed), 2 + seed % 4) for seed in range(70)]
+    return [_double_mycielskian(seed) for seed in range(100, 150)]
+
+
+@pytest.mark.parametrize("family", ["gnp", "chi-above", "double-mycielskian"])
+def test_decisions_match_one_at_a_time_oracle(family):
+    # settling forced vertices a class at a time keeps the search tree of
+    # assigning them one at a time: same witnesses, same node counts
+    cut_rounds = 0
+    for g in _oracle_graphs(family):
+        chi = chromatic_number(g)[0]
+        for c in range(max(chi - 2, 1), chi + 1):
+            budget = Budget(10 ** 8)
+            witness = chromatic_decision(g, c, budget)
+            want, nodes, cut = _oracle_decision(g, c)
+            assert (witness and witness.colors, 10 ** 8 - budget.remaining) == (want, nodes)
+            cut_rounds += cut
+    if family == "double-mycielskian":
+        assert cut_rounds > 0        # some wipeouts land in the middle of a forced round
+
+
+def test_budget_ticks_at_the_same_nodes():
+    # a c = 4 refutation on a double Mycielskian (chi = 5) takes 491 nodes,
+    # clique included; one node fewer runs out with the core's clique size
+    # as the lower bound and no upper bound
+    g = _double_mycielskian(3)
+    budget = Budget(10 ** 8)
+    assert chromatic_decision(g, 4, budget) is None
+    nodes = 10 ** 8 - budget.remaining
+    assert nodes == 491
+    assert chromatic_decision(g, 4, Budget(nodes)) is None
+    with pytest.raises(SolverBudgetExceeded) as exc:
+        chromatic_decision(g, 4, Budget(nodes - 1))
+    assert (exc.value.lower, exc.value.upper) == (2, None)
 
 
 def _octahedra(k):
