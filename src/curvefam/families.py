@@ -25,7 +25,8 @@ from .geometry import (
     Point,
     Polyline,
     SegRelation,
-    baseline_crossings_along,
+    _crossing_scan,
+    _derived_polyline,
     cached_attribute,
     segment_intersection,
     segments_intersect,
@@ -75,57 +76,54 @@ class EvenCurve:
 
 
 def refine_at_crossings(c: Polyline) -> Polyline:
-    """Insert every baseline crossing of c as an explicit vertex.
+    """c with every baseline crossing inserted as an explicit vertex.
 
-    Crossings come in order along c, and an edge has at most one proper
-    crossing (a baseline edge is rejected), so each one is inserted after
-    its edge's first vertex as it comes.
+    Validates the crossing contract as baseline_crossings_along does; the
+    refined curve can exceed the vertex cap, which raises ContractError.
     """
-    pts, start = [], 0
-    for p, (i, t) in baseline_crossings_along(c):
-        if t != 0:
-            pts.extend(c.points[start:i + 1])
-            pts.append(p)
-            start = i + 1
-    pts.extend(c.points[start:])
-    return Polyline(tuple(pts), c.id)
+    pts, _ = _crossing_scan(c)
+    return _derived_polyline(pts, c.id)
 
 
 def decompose_even_curve(c: Polyline) -> EvenCurve:
     """Split an even-curve into left/middle/right parts and its interval.
 
-    The curve is reoriented if necessary so that the first crossing along it
-    is the left one, and refined so that every crossing is a vertex; left and
-    right are the maximal end pieces containing no crossing in their
-    interior, middle is everything between. Concatenating the three parts
-    reproduces the stored curve vertex for vertex.
+    c is checked to be simple, then one crossing scan validates its baseline
+    contacts and refines it so that every crossing is a vertex. The curve is
+    reoriented if necessary so that the first crossing along it is the left
+    one; left and right are the maximal end pieces containing no crossing in
+    their interior, middle is everything between. Concatenating the three
+    parts reproduces the stored curve vertex for vertex.
     """
     validate_simple(c)
-    # The scan rejects tangencies and baseline edges, so every interior
-    # vertex of the refined curve on the baseline is a crossing.
-    refined = refine_at_crossings(c)
-    pts = refined.points
-    cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
-    if len(cross_idx) == 0 or pts[0].y == 0 or pts[-1].y == 0:
-        raise OddCrossingError(f"curve {c.id!r} is not an even-curve")
+    pts, cross_idx = _crossing_scan(c)
+    return _even_curve(pts, cross_idx, c.id)
+
+
+def _even_curve(pts: tuple, cross_idx: list, id: str) -> EvenCurve:
+    """The EvenCurve of a refined curve given its interior crossing indices.
+
+    pts must be derived from a validated polyline (see _derived_polyline)
+    with no tangency or baseline edge, and cross_idx must list every
+    interior vertex on the baseline, in order.
+    """
+    curve = _derived_polyline(pts, id)      # the cap check, which a refinement can fail
+    if not cross_idx or pts[0].y == 0 or pts[-1].y == 0:
+        raise OddCrossingError(f"curve {id!r} is not an even-curve")
     if len(cross_idx) % 2 != 0:
-        raise OddCrossingError(
-            f"curve {c.id!r} crosses the baseline {len(cross_idx)} times")
+        raise OddCrossingError(f"curve {id!r} crosses the baseline {len(cross_idx)} times")
 
     if pts[cross_idx[0]].x > pts[cross_idx[-1]].x:
-        refined = refined.reversed()
-        pts = refined.points
+        curve = curve.reversed()
+        pts = curve.points
         cross_idx = [len(pts) - 1 - i for i in reversed(cross_idx)]
     i1, i2 = cross_idx[0], cross_idx[-1]
-    left = Polyline(pts[:i1 + 1], c.id)
-    middle = Polyline(pts[i1:i2 + 1], c.id)
-    right = Polyline(pts[i2:], c.id)
     return EvenCurve(
-        curve=refined,
+        curve=curve,
         basepoints=tuple(pts[i] for i in cross_idx),
-        left=left,
-        middle=middle,
-        right=right,
+        left=_derived_polyline(pts[:i1 + 1], id),
+        middle=_derived_polyline(pts[i1:i2 + 1], id),
+        right=_derived_polyline(pts[i2:], id),
         interval=(pts[i1].x, pts[i2].x),
     )
 

@@ -186,7 +186,7 @@ class Polyline:
             raise ContractError(
                 f"polyline {self.id!r} exceeds the {MAX_POLYLINE_VERTICES}-vertex cap")
         for a, b in zip(pts, pts[1:]):
-            if a == b:
+            if a.x == b.x and a.y == b.y:       # not the generated __eq__: cheaper
                 raise ContractError(f"polyline {self.id!r} repeats vertex {a}")
 
     @cached_attribute
@@ -216,10 +216,26 @@ class Polyline:
         return (x0, y0, x1, y1)
 
     def reversed(self) -> "Polyline":
-        return Polyline(tuple(reversed(self.points)), self.id)
+        # Reversal keeps the length and which vertices are adjacent.
+        return _derived_polyline(self.points[::-1], self.id)
 
     def scaled(self, factor: int) -> "Polyline":
         return Polyline(tuple(p.scaled(factor) for p in self.points), self.id)
+
+
+def _derived_polyline(points: tuple, id: str) -> Polyline:
+    """A Polyline of points derived from an already-validated polyline.
+
+    The points are consecutive vertices of that polyline, in either
+    direction, with at most crossing or cut points inserted strictly inside
+    its edges, so they number at least 2 and no two adjacent ones are equal;
+    only the vertex cap is checked again, since insertions can exceed it.
+    """
+    if len(points) > MAX_POLYLINE_VERTICES:
+        raise ContractError(f"polyline {id!r} exceeds the {MAX_POLYLINE_VERTICES}-vertex cap")
+    poly = object.__new__(Polyline)
+    poly.__dict__.update(points=points, id=id)     # bypasses the frozen __setattr__
+    return poly
 
 
 _xy = operator.attrgetter("x", "y")
@@ -373,42 +389,70 @@ def subcurve(poly: Polyline, start: Position, end: Position, id: str = "") -> Po
     return Polyline(tuple(pts), id or poly.id)
 
 
+def _crossing_scan(c: Polyline):
+    """(refined points, crossing indices): c's points with every proper
+    baseline crossing inside an edge inserted as a vertex, and the indices
+    in them of all crossings, in order along c.
+
+    Validates the crossing contract: baseline-collinear edges are rejected
+    first, then two endpoints on the baseline, then an endpoint below it,
+    then the first vertex that touches the baseline without crossing. An
+    endpoint may sit on the baseline only as the single basepoint of a
+    1-curve, and is not a crossing. An edge has at most one proper crossing,
+    so each is inserted after its edge's first vertex as it comes.
+    """
+    pts = c.points
+    ys = [p.y for p in pts]
+    n = len(ys)
+    if 0 in ys:
+        for i in range(n - 1):
+            if ys[i] == 0 and ys[i + 1] == 0:
+                raise CollinearError(f"curve {c.id!r} has an edge on the baseline")
+    if ys[0] == 0 and ys[-1] == 0:
+        raise ContractError(f"curve {c.id!r} has both endpoints on the baseline")
+    if ys[0] < 0 or ys[-1] < 0:
+        raise ContractError(f"curve {c.id!r} has an endpoint below the baseline")
+
+    out, cross, start = [], [], 0
+    for i in range(1, n):
+        y, prev = ys[i], ys[i - 1]
+        if y == 0:
+            if i == n - 1:
+                break                       # 1-curve basepoint, not a crossing
+            # No edge lies on the baseline, so both neighbours are off it.
+            if (prev > 0) == (ys[i + 1] > 0):
+                raise TangencyError(
+                    f"curve {c.id!r} touches the baseline at {pts[i]} without crossing")
+            cross.append(len(out) + i - start)
+        elif prev != 0 and (prev > 0) != (y > 0):
+            a, b = pts[i - 1], pts[i]
+            out.extend(pts[start:i])
+            cross.append(len(out))
+            out.append(Point(_quotient(prev * b.x - a.x * y, prev - y), 0))
+            start = i
+    if not out:
+        return pts, cross
+    out.extend(pts[start:])
+    return tuple(out), cross
+
+
 def baseline_crossings_along(c: Polyline):
     """Proper baseline crossings in order along the curve.
 
-    Returns a list of (Point, Position). Validates the crossing contract:
-    every baseline contact must be a proper sign change, baseline-collinear
-    edges are rejected, and endpoints may sit on the baseline only as the
-    single basepoint of a 1-curve.
+    Returns a list of (Point, Position) with positions along c, read off
+    _crossing_scan, which holds the validation rules.
     """
     pts = c.points
-    n = len(pts)
-    signs = [_sign(p.y) for p in pts]
-
-    for i in range(n - 1):
-        if signs[i] == 0 and signs[i + 1] == 0:
-            raise CollinearError(f"curve {c.id!r} has an edge on the baseline")
-
-    end_on = (signs[0] == 0, signs[-1] == 0)
-    if end_on[0] and end_on[1]:
-        raise ContractError(f"curve {c.id!r} has both endpoints on the baseline")
-    if (signs[0] < 0 and not end_on[0]) or (signs[-1] < 0 and not end_on[1]):
-        raise ContractError(f"curve {c.id!r} has an endpoint below the baseline")
-
-    out = []
-    for i in range(n):
-        if signs[i] == 0:
-            if i == 0 or i == n - 1:
-                continue  # 1-curve basepoint, not a crossing
-            prev, nxt = signs[i - 1], signs[i + 1]
-            if prev == nxt:
-                raise TangencyError(
-                    f"curve {c.id!r} touches the baseline at {pts[i]} without crossing")
-            out.append((pts[i], (i, Fraction(0))))
-        if i < n - 1 and signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-            a, b = pts[i], pts[i + 1]
-            d = a.y - b.y
-            out.append((Point(_quotient(a.y * b.x - a.x * b.y, d), 0), (i, Fraction(a.y, d))))
+    refined, cross = _crossing_scan(c)
+    out, inserted = [], 0
+    for r in cross:
+        j = r - inserted            # the vertex of c at r, unless r was inserted
+        if pts[j].y == 0:
+            out.append((pts[j], (j, Fraction(0))))
+        else:                       # inside edge j - 1, whose ends are off the baseline
+            a, b = pts[j - 1], pts[j]
+            out.append((refined[r], (j - 1, Fraction(a.y, a.y - b.y))))
+            inserted += 1
     return out
 
 

@@ -26,12 +26,13 @@ from .errors import (
 from .families import (
     CurveFamily,
     FamilyKind,
+    _even_curve,
     _restricted_families,
     decompose_even_curve,
     make_one_curve,
     validate_lr,
 )
-from .geometry import Point, Polyline, on_segment, polylines_disjoint, subcurve
+from .geometry import Point, Polyline, on_segment, point_at, polylines_disjoint
 from .graphcore import (
     Coloring,
     IntersectionGraph,
@@ -240,8 +241,10 @@ def _events_on_edge(curve: Polyline, edge: int, points: Sequence[Point]) -> list
     """Parameters in (0, 1) at which the given points lie on the given edge."""
     ts = []
     a, b = curve.points[edge], curve.points[edge + 1]
+    x0, x1 = (a.x, b.x) if a.x < b.x else (b.x, a.x)
+    y0, y1 = (a.y, b.y) if a.y < b.y else (b.y, a.y)
     for p in points:
-        if on_segment(p, a, b):
+        if x0 <= p.x <= x1 and y0 <= p.y <= y1 and on_segment(p, a, b):
             if b.x != a.x:
                 t = Fraction(p.x - a.x, b.x - a.x)
             else:
@@ -260,8 +263,11 @@ def split_2t(fam: CurveFamily):
     ends are retracted halfway toward the nearest intersection event along
     the cut edge, which destroys the cut basepoint but keeps every
     intersection with other members; both derived families are then
-    2(t-1)-curve families. For t = 1 the derived families are the left and
-    right 1-curves, whose pair maps are fam's restricted to that part.
+    2(t-1)-curve families. Each piece is a run of the member's refined
+    points plus its cut point, with the member's other crossings at known
+    indices, so it is not scanned or validated again. For t = 1 the derived
+    families are the left and right 1-curves, whose pair maps are fam's
+    restricted to that part.
     """
     if fam.kind is not FamilyKind.TWO_T or fam.t is None:
         raise ContractError("split_2t needs a TWO_T(t) family")
@@ -282,21 +288,22 @@ def split_2t(fam: CurveFamily):
             f2.append(make_one_curve(m.right))
             continue
 
+        # A cut point lies strictly inside an edge from a crossing to a
+        # vertex above the baseline, so it is above the baseline too, and a
+        # piece's crossings are the member's crossings that it contains.
         pts = m.curve.points
         cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
         vi = cross_idx[2 * t - 2]          # crossing p_(2t-1)
         edge_in = vi - 1
-        ts = [u for u in _events_on_edge(m.curve, edge_in, hits) if u < 1]
-        cut1 = (edge_in, (max(ts, default=Fraction(0)) + 1) / 2)
-        piece1 = subcurve(m.curve, (0, Fraction(0)), cut1, m.id)
+        u = max(_events_on_edge(m.curve, edge_in, hits), default=Fraction(0))
+        cut1 = point_at(m.curve, (edge_in, (u + 1) / 2))
+        f1.append(_even_curve(pts[:vi] + (cut1,), cross_idx[:2 * t - 2], m.id))
 
         vj = cross_idx[1]                  # crossing p_2
-        ts = [u for u in _events_on_edge(m.curve, vj, hits) if u > 0]
-        cut2 = (vj, min(ts, default=Fraction(1)) / 2)
-        piece2 = subcurve(m.curve, cut2, (len(pts) - 2, Fraction(1)), m.id)
-
-        f1.append(decompose_even_curve(piece1))
-        f2.append(decompose_even_curve(piece2))
+        u = min(_events_on_edge(m.curve, vj, hits), default=Fraction(1))
+        cut2 = point_at(m.curve, (vj, u / 2))
+        f2.append(_even_curve((cut2,) + pts[vj + 1:],
+                              [i - vj for i in cross_idx[2:]], m.id))
 
     if t == 1:
         (h1,) = _restricted_families(fam, [list(enumerate(f1))], FamilyKind.ONE_CURVE, part="L")

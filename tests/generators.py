@@ -92,27 +92,38 @@ def lr_family(rng: random.Random, max_members: int = 30,
     return fam
 
 
-def two_t_family(rng: random.Random, max_members: int = 20) -> CurveFamily:
-    """A 4-curve family with pairwise-disjoint below-baseline parts."""
+def two_t_family(rng: random.Random, max_members: int = 20, t: int = 2,
+                 slanted: bool = False) -> CurveFamily:
+    """A 2t-curve family with pairwise-disjoint below-baseline parts.
+
+    Each member dips below the baseline over t of the shuffled, pairwise
+    disjoint intervals, left to right, joined above the baseline by
+    horizontal runs at heights distinct across the family. slanted=True
+    scales x by 3 and slants every edge into or out of a dip across one
+    unit of x, so most crossings, with the baseline and between members,
+    lie off the integer grid.
+    """
     n = rng.randint(2, max_members)
     intervals = []
     cursor = 0
-    for _ in range(2 * n):
+    for _ in range(t * n):
         w = rng.randint(1, 2)
         intervals.append((cursor, cursor + w))
         cursor += w + rng.randint(1, 2)
     rng.shuffle(intervals)
-    heights = rng.sample(range(1, 6 * n + 1), 3 * n)
+    heights = rng.sample(range(1, 2 * (t + 1) * n + 1), (t + 1) * n)
+    step = 3 if slanted else 1
+    slant = 1 if slanted else 0
     members = []
     for i in range(n):
-        pair = sorted([intervals[2 * i], intervals[2 * i + 1]])
-        (x1, x2), (x3, x4) = pair
-        h1, hm, h2 = heights[3 * i: 3 * i + 3]
+        hs = heights[(t + 1) * i: (t + 1) * (i + 1)]
         d = rng.randint(1, 3)
-        pts = (P(x1, h1), P(x1, -d), P(x2, -d), P(x2, hm),
-               P(x3, hm), P(x3, -d), P(x4, -d), P(x4, h2))
-        members.append(decompose_even_curve(Polyline(pts, f"q{i}")))
-    return CurveFamily(tuple(members), FamilyKind.TWO_T, 2)
+        pts = []
+        for k, (xa, xb) in enumerate(sorted(intervals[t * i: t * (i + 1)])):
+            pts += [P(step * xa, hs[k]), P(step * xa + slant, -d),
+                    P(step * xb - slant, -d), P(step * xb, hs[k + 1])]
+        members.append(decompose_even_curve(Polyline(tuple(pts), f"q{i}")))
+    return CurveFamily(tuple(members), FamilyKind.TWO_T, t)
 
 
 def graph_with_chi_above(rng: random.Random, threshold: int) -> IntersectionGraph:

@@ -11,8 +11,14 @@ feed them.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from scipy import ndimage
+
+from curvefam.errors import CollinearError, ContractError, OddCrossingError, TangencyError
+from curvefam.families import EvenCurve
+from curvefam.geometry import Point, Polyline, validate_simple
 
 
 def _ints(seg):
@@ -280,3 +286,57 @@ def decide_one_at_a_time(adj, c: int, clique):
                     stack.append((child, max(opened, k + 1)))
             break
     return None, nodes, cut_rounds
+
+
+def decompose_by_passes(c):
+    """decompose_even_curve as it was before its single crossing scan: check
+    c is simple, scan its baseline contacts, insert the crossings, scan the
+    refined curve again for its baseline vertices, and build the curve and
+    its three parts as fully validated Polylines. The crossing rules are
+    written out here again, apart from the library's scan."""
+    validate_simple(c)
+    pts = c.points
+    n = len(pts)
+    signs = [(p.y > 0) - (p.y < 0) for p in pts]
+    for i in range(n - 1):
+        if signs[i] == 0 and signs[i + 1] == 0:
+            raise CollinearError(f"curve {c.id!r} has an edge on the baseline")
+    if signs[0] == 0 and signs[-1] == 0:
+        raise ContractError(f"curve {c.id!r} has both endpoints on the baseline")
+    if signs[0] < 0 or signs[-1] < 0:
+        raise ContractError(f"curve {c.id!r} has an endpoint below the baseline")
+    crossings = []                  # (edge index, the crossing inside that edge)
+    for i in range(n):
+        if signs[i] == 0 and 0 < i < n - 1:
+            if signs[i - 1] == signs[i + 1]:
+                raise TangencyError(
+                    f"curve {c.id!r} touches the baseline at {pts[i]} without crossing")
+        if i < n - 1 and signs[i] * signs[i + 1] < 0:
+            a, b = pts[i], pts[i + 1]
+            t = Fraction(a.y, a.y - b.y)
+            crossings.append((i, Point(a.x + t * (b.x - a.x), 0)))
+
+    refined = []
+    for i, p in enumerate(pts):
+        refined.append(p)
+        refined.extend(q for k, q in crossings if k == i)
+    curve = Polyline(tuple(refined), c.id)
+    pts = curve.points
+    cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
+    if not cross_idx or pts[0].y == 0 or pts[-1].y == 0:
+        raise OddCrossingError(f"curve {c.id!r} is not an even-curve")
+    if len(cross_idx) % 2:
+        raise OddCrossingError(f"curve {c.id!r} crosses the baseline {len(cross_idx)} times")
+    if pts[cross_idx[0]].x > pts[cross_idx[-1]].x:
+        curve = Polyline(tuple(reversed(pts)), c.id)
+        pts = curve.points
+        cross_idx = [len(pts) - 1 - i for i in reversed(cross_idx)]
+    i1, i2 = cross_idx[0], cross_idx[-1]
+    return EvenCurve(
+        curve=curve,
+        basepoints=tuple(pts[i] for i in cross_idx),
+        left=Polyline(pts[:i1 + 1], c.id),
+        middle=Polyline(pts[i1:i2 + 1], c.id),
+        right=Polyline(pts[i2:], c.id),
+        interval=(pts[i1].x, pts[i2].x),
+    )

@@ -1,9 +1,19 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from curvefam.errors import ContractError, FamilyValidationError, OddCrossingError, OverlapError
+from curvefam import geometry
+from curvefam.errors import (
+    ContractError,
+    CurvefamError,
+    FamilyValidationError,
+    OddCrossingError,
+    OverlapError,
+)
 from curvefam.families import (
     ChainCandidate,
     CurveFamily,
@@ -13,6 +23,7 @@ from curvefam.families import (
     make_one_curve,
     member_intersections,
     pair_points,
+    refine_at_crossings,
     subfamily_between,
     subfamily_on_interval,
     validate_lr,
@@ -20,6 +31,7 @@ from curvefam.families import (
 )
 from curvefam.geometry import Point as P, Polyline, segments_intersect
 from generators import lr_family, two_t_family
+from oracles import decompose_by_passes
 
 SIX_CURVE = Polyline((P(0, 3), P(0, -1), P(1, -1), P(1, 1), P(2, 1), P(2, -1),
                       P(3, -1), P(3, 1), P(4, 1), P(4, -1), P(5, -1), P(5, 3)),
@@ -29,6 +41,108 @@ SIX_CURVE = Polyline((P(0, 3), P(0, -1), P(1, -1), P(1, 1), P(2, 1), P(2, -1),
 def two_curve(id, xl, xr, depth=1, top=2):
     return decompose_even_curve(
         Polyline((P(xl, top), P(xl, -depth), P(xr, -depth), P(xr, top)), id))
+
+
+def _outcome(decompose, c):
+    """(error type, message) or (curve, basepoints, parts, interval)."""
+    try:
+        ec = decompose(c)
+    except CurvefamError as e:
+        return type(e), str(e)
+    return ec.curve, ec.basepoints, ec.parts(), ec.interval
+
+
+def _coords(limit):
+    return st.one_of(st.integers(-limit, limit),
+                     st.fractions(-limit, limit, max_denominator=3))
+
+
+@st.composite
+def _polylines(draw, max_points):
+    """Free-form polylines, or x-monotone ones (always simple) in either
+    direction; many end on, dip below or touch the baseline."""
+    n = draw(st.integers(2, max_points))
+    y = st.sampled_from([0, 1, 2, -1, -2]) | _coords(3)
+    end_y = st.integers(1, 3) | st.integers(1, 3) | y      # mostly above
+    ys = [draw(end_y)] + draw(st.lists(y, min_size=n - 2, max_size=n - 2)) + [draw(end_y)]
+    if draw(st.booleans()):
+        xs = sorted(draw(st.sets(_coords(6), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            xs.reverse()
+    else:
+        xs = draw(st.lists(_coords(3), min_size=n, max_size=n))
+    pts = [P(x, y) for x, y in zip(xs, ys)]
+    pts = [p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]]
+    assume(len(pts) >= 2)
+    return Polyline(tuple(pts), "c")
+
+
+class TestDecomposeAgainstPasses:
+    """decompose_even_curve's single scan against the multi-pass oracle:
+    the same error type and message, or the same anatomy, int for int."""
+
+    MALFORMED = [
+        ((0, 1), (0, 0), (2, 0), (2, 1)),             # edge on the baseline
+        ((0, 0), (1, 1), (2, 0)),                     # both endpoints on it
+        ((0, -1), (0, 1), (1, -1), (1, 1)),           # endpoint below it
+        ((0, 1), (1, 0), (2, 1), (2, -1), (3, 1)),    # tangency
+        ((0, 1), (0, -1)),                            # one crossing
+        ((0, 1), (1, 2)),                             # no crossing
+        ((0, 0), (0, 2)),                             # a 1-curve
+        ((0, 2), (2, -1), (2, 1), (0, -1), (-1, 3)),  # self-intersecting
+        ((0, 1), (0, -1), (1, -1), (1, 1), (2, 1), (2, -1), (3, -1), (3, 1),
+         (4, 1), (4, -1)),                            # endpoint below, 5 crossings
+    ]
+
+    @pytest.mark.parametrize("shape", MALFORMED)
+    def test_malformed_shapes(self, shape):
+        c = Polyline(tuple(P(*xy) for xy in shape), "bad")
+        got = _outcome(decompose_even_curve, c)
+        assert isinstance(got[0], type)             # it is rejected
+        assert got == _outcome(decompose_by_passes, c)
+
+    @pytest.mark.parametrize("shape", [
+        ((0, 1), (2, -2), (5, -2), (4, 3)),           # crossings at 2/3 and 22/5
+        ((4, 3), (5, -2), (2, -2), (0, 1)),           # the same, reversed
+        ((0, 1), (0, -1), (1, -1), (1, 1), (2, 1), (2, -1), (3, -1), (3, 1)),
+    ])
+    def test_off_grid_and_reversed(self, shape):
+        c = Polyline(tuple(P(*xy) for xy in shape), "c")
+        got = _outcome(decompose_even_curve, c)
+        assert isinstance(got[0], Polyline)
+        assert got == _outcome(decompose_by_passes, c)
+        assert repr(got) == repr(_outcome(decompose_by_passes, c))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_polylines(8))
+    def test_random_polylines(self, c):
+        got = _outcome(decompose_even_curve, c)
+        assert got == _outcome(decompose_by_passes, c)
+        assert repr(got) == repr(_outcome(decompose_by_passes, c))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_polylines(6))
+    def test_random_polylines_at_a_small_cap(self, c):
+        # A curve at the cap whose refinement exceeds it must fail alike.
+        with mock.patch.object(geometry, "MAX_POLYLINE_VERTICES", len(c.points)):
+            got = _outcome(decompose_even_curve, c)
+            assert got == _outcome(decompose_by_passes, c)
+
+    def test_cap_exceeded_by_refinement(self):
+        zigzag = [P(0, 1), P(1, -1), P(2, 1), P(3, -1), P(4, 1), P(5, 2)]
+        c = Polyline(tuple(zigzag), "z")
+        with mock.patch.object(geometry, "MAX_POLYLINE_VERTICES", len(zigzag)):
+            with pytest.raises(ContractError, match="vertex cap"):
+                decompose_even_curve(c)
+            with pytest.raises(ContractError, match="vertex cap"):
+                decompose_by_passes(c)
+
+    def test_refinement_past_the_real_cap(self):
+        n = geometry.MAX_POLYLINE_VERTICES
+        zigzag = [P(x, 1 if x % 2 == 0 else -1) for x in range(n - 1)]
+        c = Polyline(tuple(zigzag) + (P(n, 2),), "z")
+        with pytest.raises(ContractError, match="vertex cap"):
+            refine_at_crossings(c)
 
 
 class TestDecompose:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,7 @@ from curvefam.families import (
     pair_points,
     validate_lr,
 )
-from curvefam.geometry import Point as P, Polyline
+from curvefam.geometry import Point as P, Polyline, position_of, subcurve
 from curvefam.graphcore import (
     Coloring,
     build_graph,
@@ -207,6 +208,37 @@ class TestRewire:
             assert validate_lr(out).ok
 
 
+def split_by_subcurve(fam):
+    """The two halves of split_2t (t >= 2) cut the way it cut them before it
+    sliced the refined member: each cut parameter from position_of on the
+    cut edge, each piece a subcurve between exact positions, decomposed
+    again from scratch."""
+    t = fam.t
+    meets = [[] for _ in fam.members]
+    for (i, j), hits in fam.pairs.items():
+        for p, _, _ in hits:
+            meets[i].append(p)
+            meets[j].append(p)
+
+    def events(curve, edge, hits):
+        seg = Polyline(curve.points[edge:edge + 2])
+        return [pos[1] for p in hits
+                if (pos := position_of(seg, p)) is not None and 0 < pos[1] < 1]
+
+    f1, f2 = [], []
+    for m, hits in zip(fam.members, meets):
+        pts = m.curve.points
+        cross = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
+        vi, vj = cross[2 * t - 2], cross[1]
+        u = max(events(m.curve, vi - 1, hits), default=Fraction(0))
+        f1.append(decompose_even_curve(
+            subcurve(m.curve, (0, Fraction(0)), (vi - 1, (u + 1) / 2), m.id)))
+        u = min(events(m.curve, vj, hits), default=Fraction(1))
+        f2.append(decompose_even_curve(
+            subcurve(m.curve, (vj, u / 2), (len(pts) - 2, Fraction(1)), m.id)))
+    return [f1, f2]
+
+
 class TestSplit2t:
     def test_t1_disjoint_pair(self):
         fam = CurveFamily((two_curve("a", 0, 2), two_curve("b", 4, 6)),
@@ -233,9 +265,11 @@ class TestSplit2t:
             assert [p.x for p in m2.basepoints] == xs[2:]
 
     def test_intersection_accounting(self):
-        rng = random.Random(97)
-        for _ in range(6):
-            fam = two_t_family(rng, max_members=10)
+        rng, slanted_rng = random.Random(97), random.Random(98)
+        fams = [two_t_family(rng, max_members=10) for _ in range(6)]
+        fams += [two_t_family(slanted_rng, max_members=10, t=t, slanted=True)
+                 for t in (2, 3, 2, 3)]
+        for fam in fams:
             f1, f2 = split_2t(fam)
             for i in range(len(fam.members)):
                 for j in range(i + 1, len(fam.members)):
@@ -246,6 +280,26 @@ class TestSplit2t:
                             pieces |= set(member_intersections(A.members[i],
                                                                B.members[j]))
                     assert orig == pieces
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("slanted", [False, True])
+    def test_pieces_match_subcurve_decomposition(self, t, slanted):
+        rng = random.Random(100 + t)
+        for _ in range(4):
+            fam = two_t_family(rng, max_members=10, t=t, slanted=slanted)
+            want = split_by_subcurve(fam)
+            got = [list(half.members) for half in split_2t(fam)]
+            assert got == want and repr(got) == repr(want)    # ints stay ints
+
+    @pytest.mark.parametrize("slanted", [False, True])
+    def test_t3_product_coloring_proper(self, slanted):
+        rng = random.Random(107)
+        for _ in range(3):
+            fam = two_t_family(rng, max_members=10, t=3, slanted=slanted)
+            coloring = two_t_product_coloring(fam)
+            ok, _ = is_proper(fam.graph(),
+                              Coloring(tuple(coloring[m.id] for m in fam.members)))
+            assert ok
 
     def test_below_baseline_rejected(self):
         a = decompose_even_curve(Polyline(
