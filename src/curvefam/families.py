@@ -13,6 +13,7 @@ intersection of one member's left 1-curve with the other's right 1-curve.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +33,7 @@ from .geometry import (
     segments_intersect,
     validate_simple,
 )
-from .graphcore import chromatic_number, graph_from_edges, induced_subgraph
+from .graphcore import _bits, chromatic_number, graph_from_edges, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -272,21 +273,23 @@ def pair_points(members) -> dict:
                               a.y if a.y < b.y else b.y, b.y if a.y < b.y else a.y,
                               a, b, i, k, names))
     boxes.sort(key=lambda box: box[0])
-    active, found, overlaps = [], {}, []
-    for box in boxes:
-        x0, _, y0, y1, _, _, u, _, _ = box
-        active = [a for a in active if a[1] >= x0]
-        for a in active:
-            if a[6] != u and a[3] >= y0 and y1 >= a[2]:
-                s, t = (a, box) if a[6] < u else (box, a)
+    starts = [box[0] for box in boxes]
+    found, overlaps = {}, []
+    for n, box in enumerate(boxes):
+        _, x1, y0, y1, _, _, u, _, _ = box
+        for other in boxes[n + 1:bisect_right(starts, x1)]:    # the boxes meeting box in x
+            if other[6] != u and other[3] >= y0 and y1 >= other[2]:
+                s, t = (box, other) if u < other[6] else (other, box)
                 rel, p = segment_intersection(s[4], s[5], t[4], t[5])
                 if rel is SegRelation.OVERLAP:
                     overlaps.append((s[6], t[6], s[7], t[7]))
                 elif rel is SegRelation.POINT:
                     key = (s[6], t[6], p.x, p.y)
-                    _, on_i, on_j = found.get(key, (p, "", ""))
-                    found[key] = (p, _lmr(on_i + s[8]), _lmr(on_j + t[8]))
-        active.append(box)
+                    seen = found.get(key)
+                    if seen is None:
+                        found[key] = (p, s[8], t[8])
+                    else:
+                        found[key] = (p, _lmr(seen[1] + s[8]), _lmr(seen[2] + t[8]))
     if overlaps:                # segments_intersect raises the OverlapError
         i, j, ki, kj = min(overlaps)
         segments_intersect(members[i].parts()[ki][1], members[j].parts()[kj][1])
@@ -296,18 +299,15 @@ def pair_points(members) -> dict:
     return out
 
 
-def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None,
-                         part: str = "") -> list:
+def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None) -> list:
     """Subfamilies of fam whose pair maps are read off fam's, in one pass.
 
     The groups partition fam: groups[c] lists the members of subfamily c as
-    (i, member) pairs, i increasing, where member stands for fam.members[i].
-    Where two members meet does not depend on the other members, so
-    subfamily c keeps the hits of fam's pairs with both ends in it,
-    re-indexed by position. With part "L" or "R", member is that 1-curve of
-    fam.members[i]: only the points on that part of both members are kept,
-    labelled "LR". The re-indexing is monotone, so each map equals
-    pair_points of the subfamily's members, in the same order.
+    (i, fam.members[i]) pairs, i increasing. Where two members meet does not
+    depend on the other members, so subfamily c keeps the hits of fam's
+    pairs with both ends in it, re-indexed by position. The re-indexing is
+    monotone, so each map equals pair_points of the subfamily's members, in
+    the same order.
     """
     cell_of = [None] * len(fam.members)
     for c, group in enumerate(groups):
@@ -316,20 +316,17 @@ def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None,
     maps = [{} for _ in groups]
     for (i, j), hits in fam.pairs.items():
         (c, ki), (d, kj) = cell_of[i], cell_of[j]
-        if c != d:
-            continue
-        if part:
-            hits = [(p, "LR", "LR") for p, on_i, on_j in hits
-                    if part in on_i and part in on_j]
-            if not hits:
-                continue
-        maps[c][ki, kj] = hits
-    out = []
-    for group, pairs in zip(groups, maps):
-        sub = CurveFamily(tuple(m for _, m in group), kind, t)
-        sub.__dict__["pairs"] = pairs       # where the cached attribute keeps it
-        out.append(sub)
-    return out
+        if c == d:
+            maps[c][ki, kj] = hits
+    return [_with_pairs(tuple(m for _, m in group), kind, t, pairs)
+            for group, pairs in zip(groups, maps)]
+
+
+def _with_pairs(members: tuple, kind: FamilyKind, t, pairs: dict) -> CurveFamily:
+    """A family whose pair map is pairs, read off a parent family's map."""
+    fam = CurveFamily(members, kind, t)
+    fam.__dict__["pairs"] = pairs           # where the cached attribute keeps it
+    return fam
 
 
 def validate_lr(members) -> LRResult:
@@ -392,7 +389,7 @@ def xi_of_family(fam: CurveFamily, budget=None) -> int:
     g = fam.graph()
     best = 0
     for v in range(g.n):
-        nbrs = [u for u in range(g.n) if g.has_edge(u, v)]
+        nbrs = list(_bits(g.adj[v]))
         if not nbrs:
             continue
         sub, _ = induced_subgraph(g, nbrs)

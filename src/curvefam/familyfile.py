@@ -21,18 +21,17 @@ from collections import Counter
 from typing import Union
 
 from .burling import BurlingInstance, BurlingNode, DoubleCurve, Gadget, Probe, _cyclic_gc_paused
-from .errors import FileFormatError
+from .errors import ContractError, FileFormatError
 from .families import (
     CurveFamily,
     FamilyKind,
     decompose_even_curve,
     make_one_curve,
 )
-from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline
+from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline, _derived_polyline, _set_x, _set_y
 
 # Slot setters build a Point or Probe without __post_init__: the readers
 # below test each coordinate and probe once, inline, themselves.
-_set_x, _set_y = Point.x.__set__, Point.y.__set__
 _set_lo, _set_hi = Probe.x_lo.__set__, Probe.x_hi.__set__
 
 
@@ -81,9 +80,18 @@ def _probe_from_json(row, what: str) -> Probe:
     return probe
 
 
-def _points_from_json(rows, what: str):
+def _polyline_from_json(rows, what: str, id: str) -> Polyline:
+    """The Polyline of a point list, each fact about it checked once.
+
+    Each coordinate is tested inline, and then Polyline's own checks (a
+    vertex count from 2 to the cap, no repeated adjacent vertex) are made
+    here in its order and with its messages, so the Polyline is built
+    without __post_init__.
+    """
     pts = []
     m = MAX_COORD_MAGNITUDE
+    repeat = None                   # the first vertex equal to the next one
+    px = py = None
     for row in _typed(rows, list, f"{what} points"):
         if not isinstance(row, (list, tuple)) or len(row) != 2:
             raise FileFormatError(f"{what}: point must be [x, y], got {row!r}")
@@ -91,11 +99,19 @@ def _points_from_json(rows, what: str):
         if not (type(x) is int and type(y) is int and -m <= x <= m and -m <= y <= m):
             _check_int(x, what)     # one of the two raises
             _check_int(y, what)
+        if x == px and y == py and repeat is None:
+            repeat = pts[-1]
         p = object.__new__(Point)
         _set_x(p, x)
         _set_y(p, y)
         pts.append(p)
-    return tuple(pts)
+        px, py = x, y
+    if len(pts) < 2:
+        raise ContractError(f"polyline {id!r} needs at least 2 points")
+    poly = _derived_polyline(tuple(pts), id)        # checks the vertex cap
+    if repeat is not None:
+        raise ContractError(f"polyline {id!r} repeats vertex {repeat}")
+    return poly
 
 
 def _points_to_json(poly: Polyline, factor: int = 1):
@@ -157,7 +173,7 @@ def family_from_jsonable(doc: dict) -> CurveFamily:
         mid = _curve_id(_typed(row, dict, "curve"))
         if "points" not in row:
             raise FileFormatError(f"curve {mid!r} misses points")
-        poly = Polyline(_points_from_json(row["points"], f"curve {mid!r}"), mid)
+        poly = _polyline_from_json(row["points"], f"curve {mid!r}", mid)
         if kind is FamilyKind.ONE_CURVE:
             members.append(make_one_curve(poly))
         else:
@@ -235,8 +251,8 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
         parts = row.get("parts")
         if not isinstance(parts, list) or len(parts) != 2:
             raise FileFormatError(f"double-curve {mid!r} needs parts [L, R]")
-        left = Polyline(_points_from_json(parts[0], f"{mid}.L"), f"{mid}.L")
-        right = Polyline(_points_from_json(parts[1], f"{mid}.R"), f"{mid}.R")
+        left = _polyline_from_json(parts[0], f"{mid}.L", f"{mid}.L")
+        right = _polyline_from_json(parts[1], f"{mid}.R", f"{mid}.R")
         members.append(DoubleCurve(mid, left, right))
     probes = tuple(_probe_from_json(row, "probe")
                    for row in _typed(doc.get("probes", []), list, "probes"))

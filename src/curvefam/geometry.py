@@ -86,6 +86,10 @@ class Point:
         return Point(self.x * factor, self.y * factor)
 
 
+# Slot setters build a Point of checked ints without __post_init__.
+_set_x, _set_y = Point.x.__set__, Point.y.__set__
+
+
 def _sign(v: Coord) -> int:
     if v > 0:
         return 1
@@ -159,8 +163,13 @@ def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
         # Proper crossing in both interiors: the point is p1 + (num/den)(p2 - p1).
         num = qx * (p1.y - q1.y) - qy * (p1.x - q1.x)
         den = qy * px - qx * py
-        return SegRelation.POINT, Point(_quotient(p1.x * den + num * px, den),
-                                        _quotient(p1.y * den + num * py, den))
+        x, y = p1.x * den + num * px, p1.y * den + num * py
+        if type(x) is int and type(y) is int and x % den == 0 and y % den == 0:
+            p = object.__new__(Point)       # ints: Point's type test can be skipped
+            _set_x(p, x // den)
+            _set_y(p, y // den)
+            return SegRelation.POINT, p
+        return SegRelation.POINT, Point(_quotient(x, den), _quotient(y, den))
 
     # Touching cases: an endpoint of one segment lies on the other.
     for pt, da, (a, b) in ((p1, d1, (q1, q2)), (p2, d2, (q1, q2)),

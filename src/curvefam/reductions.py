@@ -11,7 +11,6 @@ in-between subgraph has large chromatic number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -28,11 +27,12 @@ from .families import (
     FamilyKind,
     _even_curve,
     _restricted_families,
+    _with_pairs,
     decompose_even_curve,
     make_one_curve,
     validate_lr,
 )
-from .geometry import Point, Polyline, on_segment, point_at, polylines_disjoint
+from .geometry import Point, Polyline, _quotient, on_segment, polylines_disjoint
 from .graphcore import (
     Coloring,
     IntersectionGraph,
@@ -171,10 +171,49 @@ def color_cross_component(split: ComponentSplit, budget=None) -> CrossComponentC
 
 # Interval structure and below-baseline rewiring.
 
+def _containment_heights(ms) -> Optional[list]:
+    """Each member's height in the containment forest of the member
+    intervals, or None if two intervals are neither nested nor disjoint.
+
+    Innermost intervals get height 1, and an interval strictly containing
+    others one more than the highest of them. One sort by (left end, right
+    end descending) and one stack: the stack holds the open intervals, each
+    strictly inside the one below it. An interval first closes those that
+    end before it starts, which are disjoint from it and from every later
+    one, and must then lie strictly inside the top of the stack.
+    """
+    heights = [0] * len(ms)
+    stack = []
+
+    def close():
+        k = stack.pop()[2]
+        heights[k] += 1
+        if stack:
+            below = stack[-1][2]
+            heights[below] = max(heights[below], heights[k])
+
+    for lo, neg_hi, i in sorted((m.interval[0], -m.interval[1], i) for i, m in enumerate(ms)):
+        hi = -neg_hi
+        while stack and stack[-1][1] < lo:
+            close()
+        if stack and not (stack[-1][0] < lo and hi < stack[-1][1]):
+            return None
+        stack.append((lo, hi, i))
+    while stack:
+        close()
+    return heights
+
+
 def nested_or_disjoint(fam: CurveFamily):
     """(True, None) if all member intervals are pairwise nested or disjoint,
-    else (False, (id1, id2)) naming the first crossing pair."""
+    else (False, (id1, id2)) naming the first crossing pair.
+
+    Decided in O(n log n) by _containment_heights; only on failure are the
+    pairs scanned in order, to name the first that crosses.
+    """
     ms = fam.members
+    if _containment_heights(ms) is not None:
+        return True, None
     for i in range(len(ms)):
         a1, a2 = ms[i].interval
         for j in range(i + 1, len(ms)):
@@ -187,20 +226,17 @@ def nested_or_disjoint(fam: CurveFamily):
 
 
 def _nesting_levels(fam: CurveFamily) -> dict:
-    """Height of each member in the interval containment forest.
+    """Height of each member in the interval containment forest, by id.
 
     Innermost intervals get level 1; a member strictly containing others
     gets one more than the deepest contained level. Deeper dips for outer
-    members keep the below-baseline parts pairwise disjoint.
+    members keep the below-baseline parts pairwise disjoint. The intervals
+    must be nested or disjoint; a crossing pair raises IntervalCrossingError.
     """
-    order = sorted(fam.members, key=lambda m: m.interval[1] - m.interval[0])
-    level: dict = {}
-    for m in order:
-        lo, hi = m.interval
-        inner = [level[o.id] for o in order
-                 if o.id in level and lo < o.interval[0] and o.interval[1] < hi]
-        level[m.id] = 1 + max(inner, default=0)
-    return level
+    heights = _containment_heights(fam.members)
+    if heights is None:
+        raise IntervalCrossingError(*nested_or_disjoint(fam)[1])
+    return {m.id: h for m, h in zip(fam.members, heights)}
 
 
 def rewire_semicircles(fam: CurveFamily) -> CurveFamily:
@@ -237,21 +273,50 @@ def rewire_semicircles(fam: CurveFamily) -> CurveFamily:
 
 # Splitting 2t-curve families.
 
-def _events_on_edge(curve: Polyline, edge: int, points: Sequence[Point]) -> list:
-    """Parameters in (0, 1) at which the given points lie on the given edge."""
-    ts = []
-    a, b = curve.points[edge], curve.points[edge + 1]
-    x0, x1 = (a.x, b.x) if a.x < b.x else (b.x, a.x)
-    y0, y1 = (a.y, b.y) if a.y < b.y else (b.y, a.y)
+def _retracted_cut(c: Point, f: Point, points: Sequence[Point]) -> Point:
+    """The end of a piece cut at the crossing c of edge cf, retracted into
+    the edge: the midpoint of c and the point nearest to c among f and the
+    given points that lie on the edge. Every given point on the edge stays
+    on the piece, and the cut lies strictly inside the edge."""
+    along_x = c.x != f.x
+    near, dist = f, abs(f.x - c.x) if along_x else abs(f.y - c.y)
+    x0, x1 = (c.x, f.x) if c.x < f.x else (f.x, c.x)
+    y0, y1 = (c.y, f.y) if c.y < f.y else (f.y, c.y)
     for p in points:
-        if x0 <= p.x <= x1 and y0 <= p.y <= y1 and on_segment(p, a, b):
-            if b.x != a.x:
-                t = Fraction(p.x - a.x, b.x - a.x)
-            else:
-                t = Fraction(p.y - a.y, b.y - a.y)
-            if 0 < t < 1:
-                ts.append(t)
-    return ts
+        if x0 <= p.x <= x1 and y0 <= p.y <= y1 and on_segment(p, c, f):
+            d = abs(p.x - c.x) if along_x else abs(p.y - c.y)
+            if 0 < d < dist:
+                near, dist = p, d
+    return Point(_quotient(c.x + near.x, 2), _quotient(c.y + near.y, 2))
+
+
+def _half_labels(pts: tuple, cross_idx: list, t: int) -> tuple:
+    """A member's labels on the two halves of a split, as a table
+    {parent label: (label on half 1, label on half 2)} and the pair (half
+    1's label of arch 2t-2, half 2's label of arch 2); "" is off the half.
+
+    A half is labelled L, M, R from its first arch along the member, and
+    L and R swap when the half is stored reversed, which _even_curve does
+    when its first crossing lies right of its last. A half with no
+    crossing is a 1-curve, "LR". A parent "M" is left to _middle_labels
+    unless arch 2 is arch 2t-2.
+    """
+    if t == 1:
+        return {"L": ("LR", ""), "M": None, "R": ("", "LR")}, ("LR", "LR")
+    first, hi = ("R", "L") if pts[cross_idx[0]].x > pts[cross_idx[2 * t - 3]].x else ("L", "R")
+    lo, last = ("R", "L") if pts[cross_idx[2]].x > pts[cross_idx[-1]].x else ("L", "R")
+    return ({"L": (first, ""), "M": (hi, lo) if t == 2 else None, "R": ("", last)},
+            (hi, lo))
+
+
+def _middle_labels(p: Point, pts: tuple, cross_idx: list, ends: tuple) -> tuple:
+    """The half labels of a parent "M" hit p, from an exact test against
+    the edges of arch 2 and of arch 2t-2 (ends, from _half_labels)."""
+    for (start, end), on in (((cross_idx[1], cross_idx[2]), ("M", ends[1])),
+                              ((cross_idx[-3], cross_idx[-2]), (ends[0], "M"))):
+        if any(on_segment(p, pts[k], pts[k + 1]) for k in range(start, end)):
+            return on
+    return "M", "M"
 
 
 def split_2t(fam: CurveFamily):
@@ -266,51 +331,74 @@ def split_2t(fam: CurveFamily):
     2(t-1)-curve families. Each piece is a run of the member's refined
     points plus its cut point, with the member's other crossings at known
     indices, so it is not scanned or validated again. For t = 1 the derived
-    families are the left and right 1-curves, whose pair maps are fam's
-    restricted to that part.
+    families are the left and right 1-curves.
+
+    Both halves' pair maps are read off fam's, in the pass that collects
+    the hits for the cuts. Number a member's arches 0..2t from its left
+    end. Hits lie only on the even arches, which are above the baseline;
+    a hit below it raises. Half 1 is arches 0..2t-2, with L = arch 0,
+    M = arches 1..2t-3 and R = arch 2t-2; half 2 is arches 2..2t, with
+    L = arch 2, M = arches 3..2t-1 and R = arch 2t. So fam's "L" hits
+    belong to half 1 alone and its "R" hits to half 2 alone. An "M" hit
+    lies on arch 2, on arch 2t-2 or on an arch between them: for t = 2
+    that is one arch, half 1's R and half 2's L, and for t >= 3 an exact
+    test against the edges of arches 2 and 2t-2 tells which. A half's map
+    keeps the hits on both members' halves, in fam's order, so it equals
+    pair_points of the half's members.
     """
     if fam.kind is not FamilyKind.TWO_T or fam.t is None:
         raise ContractError("split_2t needs a TWO_T(t) family")
     t = fam.t
     ms = fam.members
+    crossings, labels, ends = [], [], []
+    for m in ms:
+        pts = m.curve.points
+        cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
+        table, end_labels = _half_labels(pts, cross_idx, t)
+        crossings.append(cross_idx)
+        labels.append(table)
+        ends.append(end_labels)
+
     meets = [[] for _ in ms]             # points where other members meet member i
+    pairs1, pairs2 = {}, {}
     for (i, j), hits in fam.pairs.items():
-        for p, _, _ in hits:
+        li, lj, meets_i, meets_j = labels[i], labels[j], meets[i], meets[j]
+        kept1, kept2 = [], []
+        for p, on_i, on_j in hits:
             if p.y < 0:
                 raise BelowBaselineIntersectionError(ms[i].id, ms[j].id, p)
-            meets[i].append(p)
-            meets[j].append(p)
+            meets_i.append(p)
+            meets_j.append(p)
+            a1, a2 = li[on_i] or _middle_labels(p, ms[i].curve.points, crossings[i], ends[i])
+            b1, b2 = lj[on_j] or _middle_labels(p, ms[j].curve.points, crossings[j], ends[j])
+            if a1 and b1:
+                kept1.append((p, a1, b1))
+            if a2 and b2:
+                kept2.append((p, a2, b2))
+        if kept1:
+            pairs1[i, j] = kept1
+        if kept2:
+            pairs2[i, j] = kept2
 
+    if t == 1:
+        return (_with_pairs(tuple(make_one_curve(m.left) for m in ms),
+                            FamilyKind.ONE_CURVE, None, pairs1),
+                _with_pairs(tuple(make_one_curve(m.right) for m in ms),
+                            FamilyKind.ONE_CURVE, None, pairs2))
     f1, f2 = [], []
-    for m, hits in zip(ms, meets):
-        if t == 1:
-            f1.append(make_one_curve(m.left))
-            f2.append(make_one_curve(m.right))
-            continue
-
+    for m, cross_idx, hits in zip(ms, crossings, meets):
         # A cut point lies strictly inside an edge from a crossing to a
         # vertex above the baseline, so it is above the baseline too, and a
         # piece's crossings are the member's crossings that it contains.
         pts = m.curve.points
-        cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
         vi = cross_idx[2 * t - 2]          # crossing p_(2t-1)
-        edge_in = vi - 1
-        u = max(_events_on_edge(m.curve, edge_in, hits), default=Fraction(0))
-        cut1 = point_at(m.curve, (edge_in, (u + 1) / 2))
+        cut1 = _retracted_cut(pts[vi], pts[vi - 1], hits)
         f1.append(_even_curve(pts[:vi] + (cut1,), cross_idx[:2 * t - 2], m.id))
-
         vj = cross_idx[1]                  # crossing p_2
-        u = min(_events_on_edge(m.curve, vj, hits), default=Fraction(1))
-        cut2 = point_at(m.curve, (vj, u / 2))
-        f2.append(_even_curve((cut2,) + pts[vj + 1:],
-                              [i - vj for i in cross_idx[2:]], m.id))
-
-    if t == 1:
-        (h1,) = _restricted_families(fam, [list(enumerate(f1))], FamilyKind.ONE_CURVE, part="L")
-        (h2,) = _restricted_families(fam, [list(enumerate(f2))], FamilyKind.ONE_CURVE, part="R")
-        return h1, h2
-    return (CurveFamily(tuple(f1), FamilyKind.TWO_T, t - 1),
-            CurveFamily(tuple(f2), FamilyKind.TWO_T, t - 1))
+        cut2 = _retracted_cut(pts[vj], pts[vj + 1], hits)
+        f2.append(_even_curve((cut2,) + pts[vj + 1:], [i - vj for i in cross_idx[2:]], m.id))
+    return (_with_pairs(tuple(f1), FamilyKind.TWO_T, t - 1, pairs1),
+            _with_pairs(tuple(f2), FamilyKind.TWO_T, t - 1, pairs2))
 
 
 # Product coloring.

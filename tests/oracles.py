@@ -340,3 +340,33 @@ def decompose_by_passes(c):
         right=Polyline(pts[i2:], c.id),
         interval=(pts[i1].x, pts[i2].x),
     )
+
+
+def nested_or_disjoint_by_pairs(fam):
+    """reductions.nested_or_disjoint as it was before its sort and stack:
+    every pair of member intervals in order, (False, ids) at the first pair
+    that is neither nested nor disjoint."""
+    ms = fam.members
+    for i in range(len(ms)):
+        a1, a2 = ms[i].interval
+        for j in range(i + 1, len(ms)):
+            b1, b2 = ms[j].interval
+            disjoint = a2 < b1 or b2 < a1
+            nested = (a1 < b1 and b2 < a2) or (b1 < a1 and a2 < b2)
+            if not (disjoint or nested):
+                return False, (ms[i].id, ms[j].id)
+    return True, None
+
+
+def nesting_levels_by_pairs(fam) -> dict:
+    """reductions._nesting_levels as it was before its sort and stack: by
+    increasing interval length, one more than the deepest level strictly
+    inside, found by scanning every member placed so far."""
+    order = sorted(fam.members, key=lambda m: m.interval[1] - m.interval[0])
+    level: dict = {}
+    for m in order:
+        lo, hi = m.interval
+        inner = [level[o.id] for o in order
+                 if o.id in level and lo < o.interval[0] and o.interval[1] < hi]
+        level[m.id] = 1 + max(inner, default=0)
+    return level

@@ -10,10 +10,10 @@ import sys
 import pytest
 
 import curvefam
-from curvefam import cli, familyfile, reductions
+from curvefam import cli, familyfile, geometry, reductions
 from curvefam.burling import Probe, generate
 from curvefam.cli import main
-from curvefam.errors import FileFormatError
+from curvefam.errors import ContractError, FileFormatError
 from curvefam.families import CurveFamily, FamilyKind, decompose_even_curve
 from curvefam.geometry import MAX_GENERATED_CURVES, Point as P, Polyline
 from curvefam.graphcore import Coloring, build_graph, format_edge_list
@@ -330,13 +330,38 @@ def test_malformed_coloring_file(tmp_path, capsys, doc):
 
 
 def test_loader_checks_each_coordinate_once(tmp_path, monkeypatch):
-    # the loader tests every coordinate and probe end itself, so Point and
-    # Probe are built without their constructors' type and width tests
+    # the loader tests every coordinate, probe end and part itself, so
+    # Point, Probe and Polyline are built without their constructors' checks
     path = str(tmp_path / "x3.json")
     familyfile.save(generate(3), path)
-    for cls in (P, Probe):
+    one_curve = str(tmp_path / "one.json")
+    with open(one_curve, "w") as fh:
+        fh.write(familyfile.dump_json(_one_curve_doc()))
+    for cls in (P, Probe, Polyline):
         monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("checked twice"))
     assert len(familyfile.load(path).members) == 13
+    assert len(familyfile.load(one_curve).members) == 1
+
+
+@pytest.mark.parametrize("points", [[], [[0, 0]], [[0, 0], [0, 2], [3, 2], [3, 2]],
+                                    [[0, 0], [0, 2], [0, 2], [3, 2], [4, 2]]],
+                         ids=["empty", "one-point", "repeat", "repeat-over-cap"])
+@pytest.mark.parametrize("kind", ["one_curve", "double"])
+def test_loader_part_checks(tmp_path, capsys, monkeypatch, kind, points):
+    # the loader's own vertex-count and repeat checks raise what the
+    # Polyline constructor raises, the cap (here 4) ahead of the repeat
+    monkeypatch.setattr(geometry, "MAX_POLYLINE_VERTICES", 4)
+    if kind == "double":
+        doc, where, part_id = _x2_doc(), _OX_R, "o.x.R"
+    else:
+        doc, where, part_id = _one_curve_doc(), ("curves", 0, "points"), "a"
+    _at(doc, where, points)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ContractError) as want:
+        Polyline(tuple(P(x, y) for x, y in points), part_id)
+    assert main(["verify-family", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: ContractError: {want.value}\n"
 
 
 @pytest.mark.parametrize("argv", [["verify-family", "{deep}"],

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +31,7 @@ from curvefam.graphcore import (
     is_proper,
 )
 from curvefam.reductions import (
+    _nesting_levels,
     color_cross_component,
     component_split,
     mcguinness_subgraph,
@@ -40,7 +42,11 @@ from curvefam.reductions import (
     two_t_product_coloring,
 )
 from generators import graph_with_chi_above, lr_family, two_t_family
-from oracles import connectivity_oracle
+from oracles import (
+    connectivity_oracle,
+    nested_or_disjoint_by_pairs,
+    nesting_levels_by_pairs,
+)
 
 
 def two_curve(id, xl, xr, depth=1, top=2):
@@ -163,6 +169,46 @@ class TestNestedOrDisjoint:
         fam = CurveFamily((a, b), FamilyKind.EVEN)
         ok, pair = nested_or_disjoint(fam)
         assert not ok and pair == ("a", "b")
+
+    @staticmethod
+    def _intervals(rng, n, laminar):
+        """n members with random intervals; laminar ones are cut from a
+        random forest, the others drawn freely, with shared ends now and
+        then, a 1-curve's (x, x) among them."""
+        if laminar:
+            ivs, todo = [], [(0, 8 * n)]
+            while todo and len(ivs) < n:
+                lo, hi = todo.pop(rng.randrange(len(todo)))
+                ivs.append((lo, hi))
+                if hi - lo >= 2:
+                    mid = rng.randint(lo + 1, hi - 1)
+                    todo += [(a, b) for a, b in ((lo + 1, mid), (mid + 1, hi - 1)) if a <= b]
+        else:
+            ivs = []
+            for _ in range(n):
+                lo = rng.randint(0, 3 * n)
+                ivs.append((lo, lo + rng.choice((0, rng.randint(1, 2 * n)))))
+        rng.shuffle(ivs)
+        return SimpleNamespace(members=tuple(SimpleNamespace(id=f"m{k}", interval=iv)
+                                             for k, iv in enumerate(ivs)))
+
+    def test_sweep_matches_pair_scan(self):
+        rng = random.Random(211)
+        fams = [lr_family(rng, max_members=40, chain=k % 4 == 0) for k in range(12)]
+        fams += [self._intervals(rng, rng.randint(1, 30), laminar=k % 2 == 0)
+                 for k in range(400)]
+        crossing = 0
+        for fam in fams:
+            want = nested_or_disjoint_by_pairs(fam)
+            assert nested_or_disjoint(fam) == want
+            if want[0]:
+                assert _nesting_levels(fam) == nesting_levels_by_pairs(fam)
+            else:
+                crossing += 1
+                with pytest.raises(IntervalCrossingError) as err:
+                    _nesting_levels(fam)
+                assert err.value.args == IntervalCrossingError(*want[1]).args
+        assert 100 < crossing < len(fams) - 100
 
 
 class TestRewire:
@@ -312,6 +358,32 @@ class TestSplit2t:
         with pytest.raises(BelowBaselineIntersectionError):
             split_2t(fam)
 
+    BELOW_BASELINE = {
+        1: {"c": [(-1, 1), (16, 1), (16, -1), (17, -1), (17, 1)],
+            "a": [(0, 5), (0, -2), (4, -2), (4, 5)],
+            "b": [(2, 6), (2, -1), (6, -1), (6, 6)]},
+        2: {"c": [(-1, 1), (16, 1), (16, -1), (17, -1), (17, 1), (18, 1), (18, -1),
+                  (19, -1), (19, 1)],
+            "a": [(0, 5), (0, -2), (4, -2), (4, 3), (8, 3), (8, -2), (10, -2), (10, 5)],
+            "b": [(2, 6), (2, -1), (6, -1), (6, 4), (12, 4), (12, -1), (14, -1),
+                  (14, 6)]},
+    }
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_below_baseline_raises_before_restriction(self, t, monkeypatch):
+        # c meets a and b above the baseline, in the map's first pairs; a and
+        # b then meet below it: the error names them and the point, and no
+        # half family is built
+        fam = CurveFamily(tuple(decompose_even_curve(Polyline(tuple(P(x, y) for x, y in pts), mid))
+                                for mid, pts in self.BELOW_BASELINE[t].items()),
+                          FamilyKind.TWO_T, t)
+        hits = [p for hits in fam.pairs.values() for p, _, _ in hits]
+        assert min(hits[:4], key=lambda p: p.y).y > 0 and P(4, -1) in hits
+        monkeypatch.setattr(reductions, "_with_pairs", lambda *args: pytest.fail("built"))
+        with pytest.raises(BelowBaselineIntersectionError) as err:
+            split_2t(fam)
+        assert err.value.pair == ("a", "b") and err.value.point == P(4, -1)
+
     def test_wrong_kind_rejected(self):
         fam = CurveFamily((two_curve("a", 0, 2),), FamilyKind.LR2)
         with pytest.raises(ContractError):
@@ -358,9 +430,14 @@ class TestProductColor:
 
 
 def _same_map(fam):
-    """fam's pair map equals a fresh pair_points of its members, in order."""
+    """fam's pair map equals a fresh pair_points of its members, in order
+    and with the same number types."""
     fresh = pair_points(fam.members)
-    return fam.pairs == fresh and list(fam.pairs) == list(fresh)
+    return fam.pairs == fresh and list(fam.pairs) == list(fresh) and repr(fam.pairs) == repr(fresh)
+
+
+def _curve(mid, *pts):
+    return decompose_even_curve(Polyline(tuple(P(x, y) for x, y in pts), mid))
 
 
 class TestRestrictedPairMaps:
@@ -396,6 +473,47 @@ class TestRestrictedPairMaps:
                 assert half.kind is FamilyKind.ONE_CURVE
                 assert _same_map(half)
 
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("slanted", [False, True])
+    def test_split_halves(self, t, slanted):
+        # every split down the recursion: for t = 3 the halves of each half
+        # too, down to the 1-curve families
+        rng = random.Random(401 + t)
+        for _ in range(4):
+            todo, split = [two_t_family(rng, max_members=12, t=t, slanted=slanted)], 0
+            while todo:
+                fam = todo.pop()
+                for half in split_2t(fam):
+                    assert _same_map(half)
+                    if half.kind is FamilyKind.TWO_T:
+                        todo.append(half)
+                split += 1
+            assert split == 2 ** t - 1
+
+    def test_split_halves_stored_reversed(self):
+        # a's crossings along it lie at x = 6, 2, 8, 10 and c's at 20, 22,
+        # 26, 24, so a's half 1 and c's half 2 are stored reversed, with L and
+        # R swapped; b and d meet them on every arch above the baseline
+        a = _curve("a", (6, 4), (6, -1), (2, -1), (2, 6), (8, 6), (8, -1), (10, -1), (10, 4))
+        b = _curve("b", (0, 3), (11, 3), (11, -1), (12, -1), (12, 1), (13, 1), (13, -1),
+                   (14, -1), (14, 2))
+        c = _curve("c", (20, 5), (20, -1), (22, -1), (22, 5), (26, 5), (26, -1),
+                   (24, -1), (24, 3))
+        d = _curve("d", (30, 1), (30, -1), (31, -1), (31, 1), (32, 1), (32, -1),
+                   (33, -1), (33, 2), (21, 2))
+        fam = CurveFamily((a, b, c, d), FamilyKind.TWO_T, 2)
+        h1, h2 = split_2t(fam)
+        assert h1.members[0].curve.points[0] != a.curve.points[0]
+        assert h2.members[2].curve.points[-1] != c.curve.points[-1]
+        assert h1.pairs == {(0, 1): [(P(2, 3), "L", "L"), (P(6, 3), "R", "L"),
+                                     (P(8, 3), "L", "L")]}
+        assert h2.pairs == {(2, 3): [(P(22, 2), "R", "R"), (P(24, 2), "L", "R"),
+                                     (P(26, 2), "R", "R")]}
+        for half in (h1, h2):
+            assert _same_map(half)
+            for quarter in split_2t(half):
+                assert _same_map(quarter)
+
     def test_arbitrary_partitions(self):
         rng = random.Random(313)
         for fam in self._seeded_families():
@@ -407,9 +525,9 @@ class TestRestrictedPairMaps:
             for sub in subs:
                 assert _same_map(sub)
 
-    def test_product_color_builds_three_maps(self, tmp_path, monkeypatch):
-        # the t = 2 family and its two t = 1 halves build maps; the 1-curve
-        # families and every cell restrict one of those three
+    def test_product_color_builds_one_map(self, tmp_path, monkeypatch):
+        # only the t = 2 family builds a map; its halves, the 1-curve
+        # families and every cell restrict it
         rng = random.Random(7)
         fam = two_t_family(rng, max_members=20)
         while len(fam) != 20:
@@ -422,7 +540,7 @@ class TestRestrictedPairMaps:
                             lambda members: built.append(len(members)) or original(members))
         assert cli.main(["reduce", "product-color", "--family", path,
                          "--out", str(tmp_path / "product.json")]) == 0
-        assert built == [20, 20, 20]
+        assert built == [20]
 
 
 class TestMcGuinness:
