@@ -374,8 +374,7 @@ class TestSplit2t:
         # c meets a and b above the baseline, in the map's first pairs; a and
         # b then meet below it: the error names them and the point, and no
         # half family is built
-        fam = CurveFamily(tuple(decompose_even_curve(Polyline(tuple(P(x, y) for x, y in pts), mid))
-                                for mid, pts in self.BELOW_BASELINE[t].items()),
+        fam = CurveFamily(tuple(_curve(mid, *pts) for mid, pts in self.BELOW_BASELINE[t].items()),
                           FamilyKind.TWO_T, t)
         hits = [p for hits in fam.pairs.values() for p, _, _ in hits]
         assert min(hits[:4], key=lambda p: p.y).y > 0 and P(4, -1) in hits
