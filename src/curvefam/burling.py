@@ -27,10 +27,10 @@ from itertools import accumulate
 from typing import Mapping, Optional
 
 from .errors import CertificateError, ContractError, ImproperColoring
-from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, cached_attribute,
-                       polyline_meets_vstrip, polylines_disjoint, validate_simple)
-from .families import pair_points, validate_lr
-from .graphcore import Coloring, IntersectionGraph, find_triangle, graph_from_edges, is_proper
+from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, polyline_meets_vstrip,
+                       polylines_disjoint, validate_simple)
+from .families import PairMapped, validate_lr
+from .graphcore import Coloring, find_triangle, is_proper
 
 def expected_sizes(k: int):
     """(member count, probe count) for level k, from the union recurrences."""
@@ -137,25 +137,11 @@ class BurlingNode:
 
 
 @dataclass(frozen=True)
-class BurlingInstance:
+class BurlingInstance(PairMapped):
     k: int
     members: tuple
     probes: tuple
     tree: BurlingNode
-
-    @cached_attribute
-    def pairs(self) -> dict:
-        """The part-labelled pair map, computed on first use; see pair_points."""
-        return pair_points(self.members)
-
-    @cached_attribute
-    def _graph(self) -> IntersectionGraph:
-        return graph_from_edges(len(self.members), self.pairs,
-                                tuple(m.id for m in self.members))
-
-    def graph(self) -> IntersectionGraph:
-        """The intersection graph, vertex v being members[v]; built once."""
-        return self._graph
 
 
 # Construction-time integer layout.

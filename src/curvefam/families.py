@@ -64,9 +64,6 @@ class EvenCurve:
     def is_one_curve(self) -> bool:
         return len(self.basepoints) == 1
 
-    def basepoint_xs(self) -> list:
-        return [p.x for p in self.basepoints]
-
     def polylines(self) -> tuple:
         return (self.curve,)
 
@@ -160,8 +157,27 @@ class FamilyKind(enum.Enum):
     LR2 = "lr2"
 
 
+class PairMapped:
+    """Members (each with an id and parts()) whose part-labelled pair map and
+    intersection graph are each built once, on first use."""
+
+    @cached_attribute
+    def pairs(self) -> dict:
+        """The part-labelled pair map; see pair_points."""
+        return pair_points(self.members)
+
+    @cached_attribute
+    def _graph(self):
+        return graph_from_edges(len(self.members), self.pairs,
+                                tuple(m.id for m in self.members))
+
+    def graph(self):
+        """The intersection graph, read off the pair map; vertex v is members[v]."""
+        return self._graph
+
+
 @dataclass(frozen=True)
-class CurveFamily:
+class CurveFamily(PairMapped):
     members: tuple
     kind: FamilyKind
     t: Optional[int] = None
@@ -178,15 +194,6 @@ class CurveFamily:
 
     def ids(self) -> list:
         return [m.id for m in self.members]
-
-    @cached_attribute
-    def pairs(self) -> dict:
-        """The part-labelled pair map, computed on first use; see pair_points."""
-        return pair_points(self.members)
-
-    def graph(self):
-        """Intersection graph of the members, read off the pair map."""
-        return graph_from_edges(len(self.members), self.pairs, tuple(self.ids()))
 
 
 def _validate_kind(fam: CurveFamily) -> None:
@@ -347,38 +354,6 @@ def validate_lr(members) -> LRResult:
                     violations=violations)
 
 
-def subfamily_between(fam: CurveFamily, x, y) -> CurveFamily:
-    """Members strictly between two 1-curves in the baseline order.
-
-    Orientation-insensitive: the roles of x and y swap automatically when
-    y precedes x.
-    """
-    xs, ys = x.basepoint_xs(), y.basepoint_xs()
-    family_xs = {v for m in fam.members for v in m.basepoint_xs()}
-    for probe, vals in ((x, xs), (y, ys)):
-        for v in vals:
-            if v in family_xs:
-                raise ContractError(
-                    f"bound {probe.id!r} shares basepoint x={v} with the family")
-    if max(xs) < min(ys):
-        lo, hi = max(xs), min(ys)
-    elif max(ys) < min(xs):
-        lo, hi = max(ys), min(xs)
-    else:
-        raise ContractError("bounds have interleaved basepoints")
-    picked = tuple(m for m in fam.members
-                   if lo < min(m.basepoint_xs()) and max(m.basepoint_xs()) < hi)
-    return CurveFamily(picked, fam.kind, fam.t)
-
-
-def subfamily_on_interval(fam: CurveFamily, interval) -> CurveFamily:
-    """Members with every basepoint inside the closed interval."""
-    lo, hi = interval
-    picked = tuple(m for m in fam.members
-                   if all(lo <= v <= hi for v in m.basepoint_xs()))
-    return CurveFamily(picked, fam.kind, fam.t)
-
-
 def xi_of_family(fam: CurveFamily, budget=None) -> int:
     """Smallest xi such that fam is a xi-family.
 
@@ -396,82 +371,3 @@ def xi_of_family(fam: CurveFamily, budget=None) -> int:
         chi, _ = chromatic_number(sub, budget=budget)
         best = max(best, chi)
     return best
-
-
-@dataclass(frozen=True)
-class ChainCandidate:
-    pairs: tuple  # ((a_1, b_1), ..., (a_n, b_n)) of EvenCurves
-
-
-@dataclass(frozen=True)
-class ChainViolation:
-    clause: int   # 1 = crossing, 2 = nesting, 3 = back-intersection
-    index: int    # 1-based pair index
-    detail: str
-
-
-@dataclass(frozen=True)
-class ChainResult:
-    ok: bool
-    violation: Optional[ChainViolation]
-    repeats: tuple  # (member id, earlier pair index, later pair index)
-
-
-def is_chain(fam: CurveFamily, cand: ChainCandidate) -> ChainResult:
-    """Validate a chain candidate against its three defining clauses.
-
-    Clause 1: right(a_i) and left(b_i) intersect, for every i.
-    Clause 2: for i >= 2, the basepoints of right(a_i) and left(b_i) lie
-    strictly between those of right(a_(i-1)) and left(b_(i-1)).
-    Clause 3: for i >= 2, left(a_i) intersects every earlier right(a_j), or
-    right(b_i) intersects every earlier left(b_j).
-
-    Reports the first violated clause. Members may repeat across pairs;
-    repeats are listed in the result, not rejected.
-    """
-    member_ids = set(fam.ids())
-    for a, b in cand.pairs:
-        if a.id not in member_ids or b.id not in member_ids:
-            raise ContractError(f"pair ({a.id!r}, {b.id!r}) not drawn from the family")
-
-    seen: dict = {}
-    repeats = []
-    for i, (a, b) in enumerate(cand.pairs, start=1):
-        for m in (a, b):
-            if m.id in seen:
-                repeats.append((m.id, seen[m.id], i))
-            else:
-                seen[m.id] = i
-    repeats = tuple(repeats)
-
-    pairs = cand.pairs
-    for i in range(1, len(pairs) + 1):
-        a, b = pairs[i - 1]
-        if not segments_intersect(a.right, b.left):
-            return ChainResult(False, ChainViolation(
-                1, i, f"right({a.id}) misses left({b.id})"), repeats)
-        if i >= 2:
-            pa, pb = pairs[i - 2]
-            lo, hi = sorted((_bp_x(pa.right), _bp_x(pb.left)))
-            for one_curve, owner in ((a.right, f"right({a.id})"),
-                                     (b.left, f"left({b.id})")):
-                v = _bp_x(one_curve)
-                if not (lo < v < hi):
-                    return ChainResult(False, ChainViolation(
-                        2, i, f"basepoint of {owner} at x={v} not inside ({lo},{hi})"),
-                        repeats)
-            ok_a = all(bool(segments_intersect(a.left, pairs[j][0].right))
-                       for j in range(i - 1))
-            ok_b = all(bool(segments_intersect(b.right, pairs[j][1].left))
-                       for j in range(i - 1))
-            if not (ok_a or ok_b):
-                return ChainResult(False, ChainViolation(
-                    3, i,
-                    f"neither left({a.id}) nor right({b.id}) reaches all predecessors"),
-                    repeats)
-    return ChainResult(True, None, repeats)
-
-
-def _bp_x(one_curve: Polyline):
-    pts = one_curve.points
-    return pts[-1].x if pts[-1].y == 0 else pts[0].x

@@ -168,6 +168,8 @@ def family_from_jsonable(doc: dict) -> CurveFamily:
     t = doc.get("t")
     if t is not None:
         _typed(t, int, "t")
+        if kind is not FamilyKind.TWO_T:
+            raise FileFormatError(f"a {kind.value} family file takes no t")
     members = []
     for row in _typed(doc.get("curves", []), list, "curves"):
         mid = _curve_id(_typed(row, dict, "curve"))

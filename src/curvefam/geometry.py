@@ -465,46 +465,6 @@ def baseline_crossings_along(c: Polyline):
     return out
 
 
-def baseline_crossings(c: Polyline) -> list:
-    """Basepoints of c on the baseline, in left-to-right order.
-
-    For a 1-curve (exactly one endpoint on the baseline) this is its single
-    basepoint; otherwise all proper crossings. See baseline_crossings_along
-    for the validation rules.
-    """
-    pts = c.points
-    end_on = (_sign(pts[0].y) == 0, _sign(pts[-1].y) == 0)
-    crossings = baseline_crossings_along(c)
-    if end_on[0] or end_on[1]:
-        if crossings:
-            raise ContractError(
-                f"curve {c.id!r} has a baseline endpoint and interior crossings")
-        return [pts[0] if end_on[0] else pts[-1]]
-    return sorted((p for p, _ in crossings), key=lambda p: p.x)
-
-
-def _basepoint_xs(obj) -> list:
-    if isinstance(obj, Polyline):
-        return [p.x for p in baseline_crossings(obj)]
-    bps = getattr(obj, "basepoints", None)
-    if bps is not None:
-        return [p.x for p in bps]
-    return [p.x if isinstance(p, Point) else p for p in obj]
-
-
-def precedes(a, b) -> bool:
-    """True iff every basepoint of a is strictly left of every basepoint of b.
-
-    Accepts polylines, objects exposing .basepoints, or iterables of
-    x-coordinates. Interleaved basepoints yield False (not an error).
-    """
-    xa = _basepoint_xs(a)
-    xb = _basepoint_xs(b)
-    if not xa or not xb:
-        raise ContractError("precedes needs nonempty basepoint lists")
-    return max(xa) < min(xb)
-
-
 @dataclass(frozen=True)
 class CapCurve:
     """A curve in the upper half-plane with both endpoints on the baseline."""
@@ -528,35 +488,25 @@ class Region(enum.Enum):
     ON = "on"
 
 
-def _ring_of(cap: CapCurve):
-    """The closed boundary: the cap polyline plus the baseline return segment."""
-    pts = list(cap.polyline.points)
-    return pts + [pts[0]]
+def region_of(cap: CapCurve, p: Point) -> Region:
+    """Classify p against the closed region bound by a cap-curve and the baseline.
 
-
-def point_in_ring(ring, p: Point) -> Region:
-    """Exact even-odd classification of p against a closed polygonal ring."""
-    n = len(ring) - 1
-    for i in range(n):
-        if on_segment(p, ring[i], ring[i + 1]):
-            return Region.ON
+    ON iff p lies on the cap-curve or on the baseline segment between its
+    endpoints; INT for the bounded component, EXT otherwise. Decided exactly
+    by the even-odd rule on the closed ring of the cap and that segment.
+    """
+    pts = cap.polyline.points
+    ring = pts + pts[:1]
+    edges = tuple(zip(ring, ring[1:]))
+    if any(on_segment(p, a, b) for a, b in edges):
+        return Region.ON
     inside = False
-    for i in range(n):
-        a, b = ring[i], ring[i + 1]
+    for a, b in edges:
         if (a.y > p.y) != (b.y > p.y):
             o = orientation(a, b, p)
             if (b.y > a.y and o > 0) or (b.y < a.y and o < 0):
                 inside = not inside
     return Region.INT if inside else Region.EXT
-
-
-def region_of(cap: CapCurve, p: Point) -> Region:
-    """Classify p against the closed region bound by a cap-curve and the baseline.
-
-    ON iff p lies on the cap-curve or on the baseline segment between its
-    endpoints; INT for the bounded component, EXT otherwise.
-    """
-    return point_in_ring(_ring_of(cap), p)
 
 
 def segment_meets_vstrip(a: Point, b: Point, lo: Coord, hi: Coord) -> bool:

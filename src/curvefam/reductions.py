@@ -204,16 +204,9 @@ def _containment_heights(ms) -> Optional[list]:
     return heights
 
 
-def nested_or_disjoint(fam: CurveFamily):
-    """(True, None) if all member intervals are pairwise nested or disjoint,
-    else (False, (id1, id2)) naming the first crossing pair.
-
-    Decided in O(n log n) by _containment_heights; only on failure are the
-    pairs scanned in order, to name the first that crosses.
-    """
-    ms = fam.members
-    if _containment_heights(ms) is not None:
-        return True, None
+def _crossing_pair(ms) -> tuple:
+    """The ids of the first pair of members, in order, whose intervals are
+    neither nested nor disjoint."""
     for i in range(len(ms)):
         a1, a2 = ms[i].interval
         for j in range(i + 1, len(ms)):
@@ -221,41 +214,37 @@ def nested_or_disjoint(fam: CurveFamily):
             disjoint = a2 < b1 or b2 < a1
             nested = (a1 < b1 and b2 < a2) or (b1 < a1 and a2 < b2)
             if not (disjoint or nested):
-                return False, (ms[i].id, ms[j].id)
-    return True, None
+                return ms[i].id, ms[j].id
 
 
-def _nesting_levels(fam: CurveFamily) -> dict:
-    """Height of each member in the interval containment forest, by id.
+def nested_or_disjoint(fam: CurveFamily):
+    """(True, None) if all member intervals are pairwise nested or disjoint,
+    else (False, (id1, id2)) naming the first crossing pair.
 
-    Innermost intervals get level 1; a member strictly containing others
-    gets one more than the deepest contained level. Deeper dips for outer
-    members keep the below-baseline parts pairwise disjoint. The intervals
-    must be nested or disjoint; a crossing pair raises IntervalCrossingError.
+    Decided in O(n log n) by _containment_heights; only on failure are the
+    pairs scanned in order, to name the first that crosses.
     """
-    heights = _containment_heights(fam.members)
-    if heights is None:
-        raise IntervalCrossingError(*nested_or_disjoint(fam)[1])
-    return {m.id: h for m, h in zip(fam.members, heights)}
+    if _containment_heights(fam.members) is not None:
+        return True, None
+    return False, _crossing_pair(fam.members)
 
 
 def rewire_semicircles(fam: CurveFamily) -> CurveFamily:
     """Replace every middle part by a below-baseline dip, yielding 2-curves.
 
     Requires pairwise nested-or-disjoint intervals. The dip for a member is
-    a three-segment rectangular path at integer depth equal to its interval
-    nesting level, so dips of nested members stay disjoint. Left and right
-    1-curves are kept verbatim; the intersection graph is unchanged.
+    a three-segment rectangular path at integer depth equal to its height in
+    the interval containment forest (_containment_heights), so the dips of
+    nested members stay disjoint. Left and right 1-curves are kept verbatim;
+    the intersection graph is unchanged.
     """
-    ok, pair = nested_or_disjoint(fam)
-    if not ok:
-        raise IntervalCrossingError(*pair)
-    levels = _nesting_levels(fam)
+    heights = _containment_heights(fam.members)
+    if heights is None:
+        raise IntervalCrossingError(*_crossing_pair(fam.members))
     rewired = []
-    for m in fam.members:
+    for m, d in zip(fam.members, heights):
         if m.middle is None:
             raise ContractError(f"member {m.id!r} has no middle part to rewire")
-        d = levels[m.id]
         bl = m.left.points[-1]
         br = m.right.points[0]
         dip = (Point(bl.x, -d), Point(br.x, -d))
@@ -407,7 +396,6 @@ def split_2t(fam: CurveFamily):
 class CellRecord:
     key: tuple              # (phi1 color, phi2 color)
     member_ids: tuple
-    lr_certified: bool
     cell_coloring: dict     # member id -> cell color
     palette: int
 
@@ -469,8 +457,7 @@ def product_color(fam: CurveFamily, phi1: dict, phi2: dict,
                 f"({g.labels[edge[0]]!r}, {g.labels[edge[1]]!r})")
         palette = len(set(cc.values()))
         max_cell_palette = max(max_cell_palette, palette)
-        records.append(CellRecord(key, tuple(m.id for m in members), True,
-                                  dict(cc), palette))
+        records.append(CellRecord(key, tuple(m.id for m in members), dict(cc), palette))
         for m in members:
             combined[m.id] = (key[0], key[1], cc[m.id])
 

@@ -359,9 +359,10 @@ def nested_or_disjoint_by_pairs(fam):
 
 
 def nesting_levels_by_pairs(fam) -> dict:
-    """reductions._nesting_levels as it was before its sort and stack: by
-    increasing interval length, one more than the deepest level strictly
-    inside, found by scanning every member placed so far."""
+    """reductions._containment_heights, keyed by member id, as it was
+    computed before its sort and stack: by increasing interval length, one
+    more than the deepest level strictly inside, found by scanning every
+    member placed so far."""
     order = sorted(fam.members, key=lambda m: m.interval[1] - m.interval[0])
     level: dict = {}
     for m in order:

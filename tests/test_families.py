@@ -15,21 +15,17 @@ from curvefam.errors import (
     OverlapError,
 )
 from curvefam.families import (
-    ChainCandidate,
     CurveFamily,
     FamilyKind,
     decompose_even_curve,
-    is_chain,
     make_one_curve,
     member_intersections,
     pair_points,
     refine_at_crossings,
-    subfamily_between,
-    subfamily_on_interval,
     validate_lr,
     xi_of_family,
 )
-from curvefam.geometry import Point as P, Polyline, segments_intersect
+from curvefam.geometry import Point as P, Polyline
 from generators import lr_family, two_t_family
 from oracles import decompose_by_passes
 
@@ -359,56 +355,6 @@ class TestPairPoints:
                 run([A, B, C])
 
 
-class TestSubfamilies:
-    def make_family(self):
-        return CurveFamily((two_curve("a", 2, 3), two_curve("b", 4, 5),
-                            two_curve("c", 11, 12)), FamilyKind.LR2)
-
-    def one(self, id, x):
-        return make_one_curve(Polyline((P(x, 0), P(x, 1)), id))
-
-    def test_between_basic(self):
-        fam = self.make_family()
-        got = subfamily_between(fam, self.one("x", 0), self.one("y", 10))
-        assert got.ids() == ["a", "b"]
-
-    def test_between_swapped(self):
-        fam = self.make_family()
-        got = subfamily_between(fam, self.one("y", 10), self.one("x", 0))
-        assert got.ids() == ["a", "b"]
-
-    def test_between_shared_basepoint_rejected(self):
-        fam = self.make_family()
-        with pytest.raises(ContractError):
-            subfamily_between(fam, self.one("x", 2), self.one("y", 10))
-
-    def test_on_interval(self):
-        fam = self.make_family()
-        assert subfamily_on_interval(fam, (1, 6)).ids() == ["a", "b"]
-        assert subfamily_on_interval(fam, (3, 12)).ids() == ["b", "c"]  # a straddles
-        assert subfamily_on_interval(fam, (11, 12)).ids() == ["c"]
-
-    def test_randomized_against_filter_oracle(self):
-        rng = random.Random(23)
-        for _ in range(10):
-            fam = lr_family(rng, max_members=14)
-            xs = sorted(x for m in fam.members for x in m.basepoint_xs())
-            lo = rng.randint(int(xs[0]) - 1, int(xs[-1]))
-            hi = rng.randint(lo, int(xs[-1]) + 1)
-            got = {m.id for m in subfamily_on_interval(fam, (lo, hi))}
-            want = {m.id for m in fam.members
-                    if all(lo <= v <= hi for v in m.basepoint_xs())}
-            assert got == want
-
-    def test_idempotent_and_monotone(self):
-        rng = random.Random(29)
-        fam = lr_family(rng, max_members=14)
-        inner = subfamily_on_interval(fam, (3, 20))
-        assert subfamily_on_interval(inner, (3, 20)).ids() == inner.ids()
-        wider = subfamily_on_interval(fam, (0, 40))
-        assert set(inner.ids()) <= set(wider.ids())
-
-
 def star_fixture():
     """One tall-left member crossed by three pairwise disjoint outer arms."""
     center = decompose_even_curve(Polyline(
@@ -479,79 +425,3 @@ def dipped_x2():
         members.append(decompose_even_curve(Polyline(pts, m.id)))
     fam = CurveFamily(tuple(members), FamilyKind.EVEN)
     return rewire_semicircles(fam)
-
-
-class TestChain:
-    def chain_family(self):
-        # two nested members whose right/left 1-curves cross at (8, 6)
-        outer = decompose_even_curve(Polyline(
-            (P(0, 4), P(0, -4), P(20, -4), P(20, 6), P(7, 6)), "outer"))
-        inner = decompose_even_curve(Polyline(
-            (P(8, 8), P(8, -2), P(14, -2), P(14, 2), P(13, 2)), "inner"))
-        return CurveFamily((outer, inner), FamilyKind.LR2)
-
-    def test_length_one_needs_only_crossing(self):
-        fam = self.chain_family()
-        outer, inner = fam.members
-        # right(outer) is the arm over the top; left(inner) the tall segment
-        assert segments_intersect(outer.right, inner.left)
-        res = is_chain(fam, ChainCandidate(((outer, inner),)))
-        assert res.ok and res.violation is None
-
-    def test_crossing_clause_violated(self):
-        fam = CurveFamily((two_curve("a", 0, 2), two_curve("b", 4, 6)),
-                          FamilyKind.LR2)
-        a, b = fam.members
-        res = is_chain(fam, ChainCandidate(((a, b),)))
-        assert not res.ok and res.violation.clause == 1 and res.violation.index == 1
-
-    def test_nesting_clause_violated(self):
-        fam = self.chain_family()
-        outer, inner = fam.members
-        # second pair repeats the first: its basepoints cannot lie strictly
-        # inside the first pair's, so clause 2 fails at i = 2
-        res = is_chain(fam, ChainCandidate(((outer, inner), (outer, inner))))
-        assert not res.ok
-        assert res.violation.clause == 2 and res.violation.index == 2
-        assert res.repeats
-
-    def test_membership_required(self):
-        fam = self.chain_family()
-        stranger = two_curve("zz", 100, 101)
-        with pytest.raises(ContractError):
-            is_chain(fam, ChainCandidate(((fam.members[0], stranger),)))
-
-    def test_randomized_against_independent_reimplementation(self):
-        rng = random.Random(47)
-        for _ in range(20):
-            fam = lr_family(rng, max_members=10, chain=True)
-            ms = list(fam.members)
-            pairs = []
-            for _ in range(rng.randint(1, 3)):
-                pairs.append((rng.choice(ms), rng.choice(ms)))
-            cand = ChainCandidate(tuple(pairs))
-            res = is_chain(fam, cand)
-
-            def bp(oc):
-                pts = oc.points
-                return pts[-1].x if pts[-1].y == 0 else pts[0].x
-
-            ok = True
-            for i, (a, b) in enumerate(pairs, start=1):
-                if not segments_intersect(a.right, b.left):
-                    ok = False
-                    break
-                if i >= 2:
-                    pa, pb = pairs[i - 2]
-                    lo, hi = sorted((bp(pa.right), bp(pb.left)))
-                    if not (lo < bp(a.right) < hi and lo < bp(b.left) < hi):
-                        ok = False
-                        break
-                    back_a = all(segments_intersect(a.left, pairs[j][0].right)
-                                 for j in range(i - 1))
-                    back_b = all(segments_intersect(b.right, pairs[j][1].left)
-                                 for j in range(i - 1))
-                    if not (back_a or back_b):
-                        ok = False
-                        break
-            assert res.ok == ok

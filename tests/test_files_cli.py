@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import curvefam
-from curvefam import cli, familyfile, geometry, reductions
+from curvefam import cli, families, familyfile, geometry, reductions
 from curvefam.burling import Probe, generate
 from curvefam.cli import main
 from curvefam.errors import ContractError, FileFormatError
@@ -218,6 +218,7 @@ _FILE_ERRORS = [
      "FileFormatError: curve 'a': point must be [x, y], got 5"),
     (_one_curve_doc, ("curves", 0, "points"), [[0, 0], [0, 2], [0, 2], [3, 2]], 2,
      "ContractError: polyline 'a' repeats vertex Point(x=0, y=2)"),
+    (_one_curve_doc, ("t",), 3, 4, "FileFormatError: a one_curve family file takes no t"),
 ]
 
 
@@ -428,6 +429,27 @@ class TestCertificateChecks:
                  if isinstance(node, ast.Assert)]
         if found:
             pytest.fail(f"assert statements in {src}: {', '.join(found)}")
+
+    def test_no_unused_import_in_src(self):
+        # a module-level import that nothing in its module reads; a name in
+        # the module's __all__ counts as read
+        src = pathlib.Path(curvefam.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if (isinstance(node, ast.Assign)
+                        and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                    used.update(elt.value for elt in node.value.elts)
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                              if (alias.asname or alias.name.split(".")[0]) not in used]
+        if found:
+            pytest.fail(f"unused imports in {src}: {', '.join(found)}")
 
     def test_improper_exact_witness_rejected(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "path.txt"
@@ -686,20 +708,48 @@ class TestCli:
 
     def test_audit_builds_one_graph(self, tmp_path, capsys, monkeypatch):
         # the greedy colouring and the audit's properness check share X_3's graph
-        from curvefam import burling
-
         fam_path = str(tmp_path / "x3.json")
         familyfile.save(generate(3), fam_path)
         built = []
-        real = burling.graph_from_edges
+        real = families.graph_from_edges
 
         def counting(*args):
             built.append(args[0])
             return real(*args)
 
-        monkeypatch.setattr(burling, "graph_from_edges", counting)
+        monkeypatch.setattr(families, "graph_from_edges", counting)
         assert main(["audit-burling", fam_path, "--greedy-seed", "11"]) == 0
         assert built == [13]
+
+    def test_product_color_builds_each_graph_once(self, tmp_path, monkeypatch):
+        # one graph for the input family, one per split half and one per cell
+        fam_path = str(tmp_path / "fam.json")
+        familyfile.save(two_t_family(random.Random(9), max_members=8, t=3), fam_path)
+        built, halves, cells = [], [], []
+        real_graph, real_split = families.graph_from_edges, reductions.split_2t
+        real_product = reductions.product_color
+
+        def graph(*args):
+            built.append(args[0])
+            return real_graph(*args)
+
+        def split(fam):
+            pair = real_split(fam)
+            halves.extend(pair)
+            return pair
+
+        def product(*args, **kwargs):
+            res = real_product(*args, **kwargs)
+            cells.extend(res.cells)
+            return res
+
+        monkeypatch.setattr(families, "graph_from_edges", graph)
+        monkeypatch.setattr(reductions, "split_2t", split)
+        monkeypatch.setattr(reductions, "product_color", product)
+        assert main(["reduce", "product-color", "--family", fam_path,
+                     "--out", str(tmp_path / "col.json")]) == 0
+        assert {h.kind for h in halves} == {FamilyKind.TWO_T, FamilyKind.ONE_CURVE}
+        assert cells and len(built) == 1 + len(halves) + len(cells)
 
     def test_reduce_pipeline(self, tmp_path, capsys):
         fam = two_t_family(random.Random(9), max_members=6)

@@ -13,18 +13,16 @@ from curvefam.errors import (
     OverlapError,
     TangencyError,
 )
-from curvefam.families import refine_at_crossings
+from curvefam.families import make_one_curve, refine_at_crossings
 from curvefam.geometry import (
     CapCurve,
     Point as P,
     Polyline,
     Region,
-    baseline_crossings,
     baseline_crossings_along,
     orientation,
     polyline_meets_vstrip,
     polylines_disjoint,
-    precedes,
     region_of,
     segments_intersect,
     subcurve,
@@ -108,28 +106,32 @@ class TestSegmentsIntersect:
 class TestBaselineCrossings:
     def test_two_clean_crossings(self):
         c = Polyline((P(0, 2), P(0, -1), P(1, -1), P(1, 2)), "c")
-        assert baseline_crossings(c) == [P(0, 0), P(1, 0)]
+        assert baseline_crossings_along(c) == [(P(0, 0), (0, Fraction(2, 3))),
+                                               (P(1, 0), (2, Fraction(1, 3)))]
 
     def test_tangency_rejected(self):
         with pytest.raises(TangencyError):
-            baseline_crossings(Polyline((P(0, 1), P(1, 0), P(2, 1)), "t"))
+            baseline_crossings_along(Polyline((P(0, 1), P(1, 0), P(2, 1)), "t"))
 
     def test_collinear_edge_rejected(self):
         with pytest.raises(CollinearError):
-            baseline_crossings(Polyline((P(0, 1), P(1, 0), P(2, 0), P(2, 1)), "e"))
+            baseline_crossings_along(Polyline((P(0, 1), P(1, 0), P(2, 0), P(2, 1)), "e"))
 
     def test_six_crossing_comb(self):
         comb = Polyline((P(0, 3), P(0, -1), P(1, -1), P(1, 1), P(2, 1), P(2, -1),
                          P(3, -1), P(3, 1), P(4, 1), P(4, -1), P(5, -1), P(5, 3)),
                         "six")
-        assert [p.x for p in baseline_crossings(comb)] == [0, 1, 2, 3, 4, 5]
+        assert [p.x for p, _ in baseline_crossings_along(comb)] == [0, 1, 2, 3, 4, 5]
 
     def test_one_curve_single_basepoint(self):
-        assert baseline_crossings(Polyline((P(5, 0), P(5, 3)), "one")) == [P(5, 0)]
+        # the basepoint of a 1-curve is an endpoint, not a crossing
+        one = Polyline((P(5, 0), P(5, 3)), "one")
+        assert baseline_crossings_along(one) == []
+        assert make_one_curve(one).basepoints == (P(5, 0),)
 
     def test_endpoint_below_rejected(self):
         with pytest.raises(ContractError):
-            baseline_crossings(Polyline((P(0, -1), P(0, 3)), "bad"))
+            baseline_crossings_along(Polyline((P(0, -1), P(0, 3)), "bad"))
 
     def test_even_parity_for_random_even_curves(self):
         from generators import two_t_family
@@ -137,35 +139,7 @@ class TestBaselineCrossings:
         rng = random.Random(5)
         fam = two_t_family(rng, max_members=8)
         for m in fam.members:
-            assert len(baseline_crossings(m.curve)) % 2 == 0
-
-
-class TestPrecedes:
-    def test_disjoint_spans(self):
-        assert precedes([1, 2], [3, 4])
-
-    def test_interleaved_is_false_not_error(self):
-        assert not precedes([1, 3], [2, 4])
-
-    def test_nested_stack_false_both_ways(self):
-        stack = []
-        for i in range(3):
-            lo, hi = 4 - i, 5 + i
-            stack.append(Polyline((P(lo, 2), P(lo, -1 - i), P(hi, -1 - i), P(hi, 2)),
-                                  f"s{i}"))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                # derived by direct basepoint-order enumeration: nested pairs
-                # interleave, so neither side precedes the other
-                xa = [p.x for p in baseline_crossings(stack[i])]
-                xb = [p.x for p in baseline_crossings(stack[j])]
-                assert (max(xa) < min(xb)) == precedes(stack[i], stack[j])
-                assert not precedes(stack[i], stack[j])
-                assert not precedes(stack[j], stack[i])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            precedes([], [1])
+            assert len(baseline_crossings_along(m.curve)) % 2 == 0
 
 
 def cap(*pts, id="cap"):

@@ -31,7 +31,7 @@ from curvefam.graphcore import (
     is_proper,
 )
 from curvefam.reductions import (
-    _nesting_levels,
+    _containment_heights,
     color_cross_component,
     component_split,
     mcguinness_subgraph,
@@ -201,12 +201,15 @@ class TestNestedOrDisjoint:
         for fam in fams:
             want = nested_or_disjoint_by_pairs(fam)
             assert nested_or_disjoint(fam) == want
+            heights = _containment_heights(fam.members)
             if want[0]:
-                assert _nesting_levels(fam) == nesting_levels_by_pairs(fam)
+                assert ({m.id: h for m, h in zip(fam.members, heights)}
+                        == nesting_levels_by_pairs(fam))
             else:
                 crossing += 1
+                assert heights is None
                 with pytest.raises(IntervalCrossingError) as err:
-                    _nesting_levels(fam)
+                    rewire_semicircles(fam)
                 assert err.value.args == IntervalCrossingError(*want[1]).args
         assert 100 < crossing < len(fams) - 100
 
