@@ -211,6 +211,8 @@ def _validate_kind(fam: CurveFamily) -> None:
     kind, t = fam.kind, fam.t
     if kind is FamilyKind.TWO_T and (t is None or t < 1):
         raise FamilyValidationError("TWO_T family needs t >= 1")
+    if kind is not FamilyKind.TWO_T and t is not None:
+        raise FamilyValidationError(f"a {kind.value} family takes no t, got t={t}")
     for m in fam.members:
         n = m.n_crossings
         if kind is FamilyKind.ONE_CURVE and n != 1:

@@ -53,12 +53,15 @@ class Budget:
     def tick(self):
         self.remaining -= 1
         if self.remaining < 0:
-            raise SolverBudgetExceeded(
-                "solver node budget exhausted", lower=self.lower, upper=self.upper)
+            raise self.exhausted("node")
         if self.deadline is not None and self.remaining % 1024 == 0:
             if time.monotonic() > self.deadline:
-                raise SolverBudgetExceeded(
-                    "solver time budget exhausted", lower=self.lower, upper=self.upper)
+                raise self.exhausted("time")
+
+    def exhausted(self, kind: str) -> SolverBudgetExceeded:
+        """The error for a spent node or time budget, with the best bounds."""
+        return SolverBudgetExceeded(
+            f"solver {kind} budget exhausted", lower=self.lower, upper=self.upper)
 
 
 def _as_budget(budget) -> Budget:
@@ -135,9 +138,15 @@ def induced_subgraph(G: IntersectionGraph, vertices: Sequence[int]):
     for i, v in enumerate(vs):
         for u in _bits(G.adj[v] & keep):
             adj[i] |= 1 << index[u]
-    sub = object.__new__(IntersectionGraph)     # G was checked: no second check
-    vars(sub).update(n=len(vs), adj=tuple(adj), labels=tuple(G.labels[v] for v in vs))
-    return sub, vs
+    return _prechecked_graph(len(vs), adj, (G.labels[v] for v in vs)), vs  # G was checked
+
+
+def _prechecked_graph(n: int, adj, labels) -> IntersectionGraph:
+    """An IntersectionGraph whose caller has already checked its adjacency,
+    built without a second check."""
+    G = object.__new__(IntersectionGraph)
+    vars(G).update(n=n, adj=tuple(adj), labels=tuple(labels))
+    return G
 
 
 @dataclass(frozen=True)
@@ -282,13 +291,16 @@ def _kernelize(G: IntersectionGraph, c: int):
     return [v for v in range(G.n) if deg[v] >= c], removed
 
 
-def chromatic_decision(G: IntersectionGraph, c: int, budget=None) -> Optional[Coloring]:
+def chromatic_decision(G: IntersectionGraph, c: int, budget=None, *,
+                       clique=None) -> Optional[Coloring]:
     """Exhaustively decide whether G is c-colorable.
 
     Returns a witness Coloring using at most c colors, or None after an
     exhaustive refutation. Degree-< c vertices are stripped first and
     recolored greedily afterwards, which preserves the decision; a core
-    that keeps every vertex is G itself, searched without a copy.
+    that keeps every vertex is G itself, searched without a copy. clique,
+    if given, must be maximum_clique(G); such a core then starts from it
+    instead of searching for it again.
     """
     budget = _as_budget(budget)
     if c < 0:
@@ -301,8 +313,12 @@ def chromatic_decision(G: IntersectionGraph, c: int, budget=None) -> Optional[Co
     colors = [-1] * G.n
 
     if core:
-        sub, mapping = induced_subgraph(G, core) if removed else (G, core)
-        sub_colors = _decide_core(sub, c, budget)
+        if removed:
+            sub, mapping = induced_subgraph(G, core)
+            clique = None               # G's clique, not the core's
+        else:
+            sub, mapping = G, core
+        sub_colors = _decide_core(sub, c, budget, clique)
         if sub_colors is None:
             return None
         for i, v in enumerate(mapping):
@@ -356,25 +372,20 @@ def _dsatur_heuristic(G: IntersectionGraph) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def _saturate(sat: list, add: int) -> None:
-    """Let every vertex of add see one more class, in place: sat[j] holds the
-    vertices that see more than j classes, so add moves up one level."""
-    for j, s in enumerate(sat):
-        if not add:
-            return
-        sat[j] = s | add
-        add &= s
-
-
-def _decide_core(G: IntersectionGraph, c: int, budget: Budget) -> Optional[list]:
+def _decide_core(G: IntersectionGraph, c: int, budget: Budget,
+                 clique=None) -> Optional[list]:
     """DSATUR over bitset states (Brelaz 1979; San Segundo 2012).
 
-    A state is (uncolored mask, seen, sat, classes opened, path): seen[k]
-    holds the vertices with a neighbor colored k, sat[j] those that see more
-    than j classes, and path links each (vertex mask, color) assignment back
-    to the root. Children are fresh copies, so backtracking drops a state
-    and undoes nothing. c >= 2 here: at c = 1 a core has an edge, so its
-    clique already exceeds c.
+    A state is (uncolored mask, masks, classes opened, path). masks is one
+    list of 2c bitsets, so a child costs one copy: masks[k] for k < c holds
+    the vertices with a neighbor colored k (seen[k]), and masks[c + j] those
+    that see more than j classes (sat[j]). A vertex that comes to see class
+    k moves up one sat level; it did not see k, so it stays within sat.
+    path links each (vertex mask, color) assignment back to the root.
+    Children are fresh copies, so backtracking drops a state and undoes
+    nothing. The search starts from clique, one class per vertex, or from
+    maximum_clique(G) when none is given. c >= 2 here: at c = 1 a core has
+    an edge, so its clique already exceeds c.
 
     A vertex that sees all c classes is a wipeout; one that sees c - 1 is
     forced to its free class. Forced vertices are settled a round at a time,
@@ -385,78 +396,108 @@ def _decide_core(G: IntersectionGraph, c: int, budget: Budget) -> Optional[list]
     otherwise every forced vertex takes its free class, in any order. The
     nodes, the picks and the witness are those of assigning the lowest
     forced vertex one at a time.
+
+    Each popped state is one node of budget, counted as Budget.tick counts
+    it but in a local, which is written back to budget.remaining on every
+    exit.
     """
     adj, n = G.adj, G.n
-    clique = maximum_clique(G, budget)
+    if clique is None:
+        clique = maximum_clique(G, budget)
     if len(clique) > c:
         return None
     degree = _bit_slices(adj)[::-1]    # v is in adj[u] for each neighbor u of v
-    seen = [0] * c
-    sat = [0] * c
+    masks = [0] * (2 * c)
     uncolored = (1 << n) - 1
     path = None
     for col, v in enumerate(clique):
-        _saturate(sat, adj[v])
-        seen[col] = adj[v]
+        add, j = adj[v], c
+        while add:
+            s = masks[j]
+            masks[j] = s | add
+            add &= s
+            j += 1
+        masks[col] = adj[v]
         uncolored ^= 1 << v
         path = (1 << v, col, path)
-    stack = [(uncolored, seen, sat, len(clique), path)]
-    while stack:
-        uncolored, seen, sat, opened, path = stack.pop()
-        budget.tick()
-        while not sat[c - 1] & uncolored:       # no vertex sees every class
-            forced = sat[c - 2] & uncolored
-            if forced:
-                for col, s in enumerate(seen):
-                    take = forced & ~s          # the forced vertices free only in col
-                    if not take:
-                        continue
-                    union, rest = 0, take
-                    while rest:
-                        low = rest & -rest
-                        union |= adj[low.bit_length() - 1]
-                        rest ^= low
-                    if union & take:
-                        break                   # two of them are neighbors
-                    _saturate(sat, union & ~s)
-                    seen[col] = s | union
-                    uncolored ^= take
-                    if col >= opened:
-                        opened = col + 1
-                    path = (take, col, path)
-                else:
-                    continue                    # the round is settled: test again
-                break                           # a wipeout: no children
-            if not uncolored:
-                colors = [-1] * n
-                while path:
-                    mask, col, path = path
-                    for v in _bits(mask):
-                        colors[v] = col
-                return colors
-            # the DSATUR pick: most classes seen, then highest degree, then
-            # lowest index
-            pick = uncolored
-            for s in reversed(sat):
-                if pick & s:
-                    pick &= s
-                    break
-            for s in degree:
-                if pick & s:
-                    pick &= s
-            v = (pick & -pick).bit_length() - 1
-            row, bit = adj[v], 1 << v
-            # new classes open in index order; push so the lowest pops first
-            for col in reversed(range(min(c, opened + 1))):
-                s = seen[col]
-                if not s & bit:
-                    child, child_sat = seen[:], sat[:]
-                    child[col] = s | row
-                    _saturate(child_sat, row & ~s)
-                    stack.append((uncolored ^ bit, child, child_sat,
-                                  max(opened, col + 1), (bit, col, path)))
-            break
-    return None
+    stack = [(uncolored, masks, len(clique), path)]
+    wiped, forcing = 2 * c - 1, 2 * c - 2   # sat[c - 1] and sat[c - 2]
+    remaining, deadline = budget.remaining, budget.deadline
+    try:
+        while stack:
+            uncolored, masks, opened, path = stack.pop()
+            remaining -= 1
+            if remaining < 0:
+                raise budget.exhausted("node")
+            if deadline is not None and remaining % 1024 == 0 and time.monotonic() > deadline:
+                raise budget.exhausted("time")
+            while not masks[wiped] & uncolored:     # no vertex sees every class
+                forced = masks[forcing] & uncolored
+                if forced:
+                    for col in range(c):
+                        s = masks[col]
+                        take = forced & ~s          # the forced vertices free only in col
+                        if not take:
+                            continue
+                        union, rest = 0, take
+                        while rest:
+                            low = rest & -rest
+                            union |= adj[low.bit_length() - 1]
+                            rest ^= low
+                        if union & take:
+                            break                   # two of them are neighbors
+                        add, j = union & ~s, c
+                        while add:
+                            t = masks[j]
+                            masks[j] = t | add
+                            add &= t
+                            j += 1
+                        masks[col] = s | union
+                        uncolored ^= take
+                        if col >= opened:
+                            opened = col + 1
+                        path = (take, col, path)
+                    else:
+                        continue                    # the round is settled: test again
+                    break                           # a wipeout: no children
+                if not uncolored:
+                    colors = [-1] * n
+                    while path:
+                        mask, col, path = path
+                        for v in _bits(mask):
+                            colors[v] = col
+                    return colors
+                # the DSATUR pick: most classes seen, then highest degree,
+                # then lowest index; no uncolored vertex sees c - 1 classes
+                pick = uncolored
+                for j in range(forcing - 1, c - 1, -1):
+                    s = masks[j]
+                    if pick & s:
+                        pick &= s
+                        break
+                for s in degree:
+                    if pick & s:
+                        pick &= s
+                v = (pick & -pick).bit_length() - 1
+                row, bit = adj[v], 1 << v
+                # new classes open in index order; push so the lowest pops first
+                for col in reversed(range(opened + 1 if opened < c else c)):
+                    s = masks[col]
+                    if not s & bit:
+                        child = masks[:]
+                        child[col] = s | row
+                        add, j = row & ~s, c
+                        while add:
+                            t = child[j]
+                            child[j] = t | add
+                            add &= t
+                            j += 1
+                        stack.append((uncolored ^ bit, child, opened + (col == opened),
+                                      (bit, col, path)))
+                break
+        return None
+    finally:
+        budget.remaining = remaining
 
 
 def chromatic_number(G: IntersectionGraph, budget=None):
@@ -469,12 +510,13 @@ def chromatic_number(G: IntersectionGraph, budget=None):
     budget = _as_budget(budget)
     if G.n == 0:
         return 0, Coloring(())
-    lb = clique_number(G, budget)
+    clique = maximum_clique(G, budget)
+    lb = len(clique)
     heur = _dsatur_heuristic(G)
     ub = heur.num_colors
     budget.lower, budget.upper = lb, ub
     for c in range(lb, ub):
-        w = chromatic_decision(G, c, budget)
+        w = chromatic_decision(G, c, budget, clique=clique)
         if w is not None:
             ok, edge = is_proper(G, w)
             if not ok:
@@ -511,14 +553,14 @@ def parse_edge_list(text: str) -> IntersectionGraph:
         raise FileFormatError(f"vertex count must be in 0..{MAX_GENERATED_CURVES}, got {n}")
     if len(edges) != m:
         raise FileFormatError(f"expected {m} edges, found {len(edges)}")
-    pairs = set()
+    adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise FileFormatError(f"edge ({u},{v}) out of range")
         if u == v:
             raise FileFormatError(f"self-loop ({u},{v})")
-        pair = (min(u, v), max(u, v))
-        if pair in pairs:
+        if adj[u] >> v & 1:
             raise FileFormatError(f"edge ({u},{v}) repeats an earlier row")
-        pairs.add(pair)
-    return graph_from_edges(n, edges)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _prechecked_graph(n, adj, map(str, range(n)))

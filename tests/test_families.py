@@ -210,6 +210,11 @@ class TestFamilyValidation:
         with pytest.raises(FamilyValidationError):
             CurveFamily((a,), FamilyKind.TWO_T, 2)
 
+    @pytest.mark.parametrize("kind", [k for k in FamilyKind if k is not FamilyKind.TWO_T])
+    def test_t_only_on_two_t(self, kind):
+        with pytest.raises(FamilyValidationError, match=f"a {kind.value} family takes no t"):
+            CurveFamily((), kind, 3)
+
     def test_unique_ids(self):
         a = two_curve("a", 0, 4)
         b = two_curve("a", 6, 8)

@@ -175,7 +175,8 @@ class TestChromatic:
         (Coloring((0, 1, 0, 1, 2)), CertificateError),   # proper, but 3 colors for c = 2
     ])
     def test_bad_decision_witness_rejected(self, monkeypatch, witness, error):
-        monkeypatch.setattr(graphcore, "chromatic_decision", lambda g, c, budget: witness)
+        monkeypatch.setattr(graphcore, "chromatic_decision",
+                            lambda g, c, budget, clique: witness)
         with pytest.raises(error):
             chromatic_number(C(5))
 
@@ -253,6 +254,13 @@ class TestGraphStructure:
         sub, mapping = induced_subgraph(g, [0, 1, 2])
         assert sub == want and mapping == [0, 1, 2]
 
+    def test_edge_list_parsed_without_recheck(self, monkeypatch):
+        # parse_edge_list checks each row once, as it builds the adjacency
+        g = C(5)
+        monkeypatch.setattr(IntersectionGraph, "__post_init__",
+                            lambda self: pytest.fail("parsed graph re-checked"))
+        assert parse_edge_list(format_edge_list(g)) == g
+
     @pytest.mark.parametrize("edge", [(0, -1), (-1, 0), (5, 0)])
     def test_edge_endpoint_out_of_range(self, edge):
         with pytest.raises(ContractError, match=rf"edge \({edge[0]},{edge[1]}\) has an endpoint"):
@@ -315,8 +323,9 @@ def _search_record(g, below=1):
 
 # sha256 over _search_record of a fixed graph set, pinned with the recursive
 # trail-based search; any change to the search tree, the witnesses or the
-# node counts changes it.
-SEARCH_DIGEST = "944ab7c4e4d683580d6708a18e246e33e7b929bdf44914fb3e13eb144161f850"
+# node counts changes it. Re-pinned when chromatic_number came to pass its
+# clique to the decisions: only the node counts of the chi rows fell.
+SEARCH_DIGEST = "42e33b6ed577719e657b8026f96e75ba085f3fd0af4a0b0ce279cd0d63d95009"
 
 
 def _digest_graphs():
@@ -340,8 +349,9 @@ def test_search_digest():
 # Mycielskians of seeded 7-vertex triangle-free graphs. The c = chi - 2
 # refutations are deep, and their wipeouts land in the middle of a round of
 # forced assignments. Pinned at commit f732a05, before the search carried its
-# counts from state to state.
-MYCIELSKI_DIGEST = "7c52ad127766f6a596703881e8e951fe34f9d5146343bcf52ec80c572549d4c2"
+# counts from state to state; re-pinned, like SEARCH_DIGEST, when only the
+# chi rows' node counts fell.
+MYCIELSKI_DIGEST = "52b43b9663e0acd04ece2c92df4fc8f36a1a944375dacea8ae3dfcf3f24231f8"
 
 
 def _double_mycielskian(seed):
@@ -431,6 +441,62 @@ def test_budget_ticks_at_the_same_nodes():
     with pytest.raises(SolverBudgetExceeded) as exc:
         chromatic_decision(g, 4, Budget(nodes - 1))
     assert (exc.value.lower, exc.value.upper) == (2, None)
+
+
+def test_time_budget_runs_out_in_the_search(monkeypatch):
+    # the search reads the clock when the nodes left are a multiple of 1,024,
+    # as Budget.tick does, and leaves budget.remaining at the node it stopped
+    monkeypatch.delenv(graphcore.ENV_NODE_BUDGET, raising=False)
+    budget = Budget(time_ms=1)
+    given = budget.remaining
+    monkeypatch.setattr(graphcore.time, "monotonic", lambda: budget.deadline + 1)
+    with pytest.raises(SolverBudgetExceeded, match="time budget") as exc:
+        chromatic_decision(_double_mycielskian(3), 4, budget)
+    assert exc.traceback[-1].name == "_decide_core"
+    assert 0 < given - budget.remaining <= 1024 and budget.remaining % 1024 == 0
+
+
+@pytest.mark.parametrize("family", ["gnp", "chi-above", "double-mycielskian"])
+def test_chromatic_number_finds_its_clique_once(family, monkeypatch):
+    # chromatic_number's nodes are its clique's plus each decision's, less
+    # the clique search of each decision whose core is all of G, which
+    # starts from the clique it is given
+    from oracles import kernelize_by_passes
+
+    decide, asked = graphcore.chromatic_decision, []
+
+    def recorded(g, c, budget, **kwargs):
+        asked.append(c)
+        return decide(g, c, budget, **kwargs)
+
+    monkeypatch.setattr(graphcore, "chromatic_decision", recorded)
+    skipped = 0
+    for g in _oracle_graphs(family):
+        asked.clear()
+        budget = Budget(10 ** 8)
+        chromatic_number(g, budget)
+        clique_budget = Budget(10 ** 8)
+        maximum_clique(g, clique_budget)
+        clique_nodes = want = 10 ** 8 - clique_budget.remaining
+        for c in asked:
+            decision_budget = Budget(10 ** 8)
+            decide(g, c, decision_budget)
+            want += 10 ** 8 - decision_budget.remaining
+            if not kernelize_by_passes(g.adj, c)[1]:
+                want -= clique_nodes
+                skipped += 1
+        assert 10 ** 8 - budget.remaining == want
+    if family != "chi-above":       # there every decision's kernel drops a vertex
+        assert skipped > 0
+
+
+def test_maximum_clique_runs_once_per_chromatic_number(monkeypatch):
+    # chi = 5 after decisions at c = 2, 3 and 4, each on all of G
+    find, calls = graphcore.maximum_clique, []
+    monkeypatch.setattr(graphcore, "maximum_clique",
+                        lambda g, budget=None: calls.append(g) or find(g, budget))
+    assert chromatic_number(_double_mycielskian(3))[0] == 5
+    assert len(calls) == 1
 
 
 def _octahedra(k):
