@@ -24,11 +24,11 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import CertificateError, ContractError, ImproperColoring
-from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, polyline_meets_vstrip,
-                       polylines_disjoint, validate_simple)
+from .geometry import (MAX_GENERATED_CURVES, Polyline, _checked_polyline, _point,
+                       polyline_meets_vstrip, polylines_disjoint, validate_simple)
 from .families import PairMapped, validate_lr
 from .graphcore import Coloring, find_triangle, is_proper
 
@@ -57,29 +57,18 @@ class Probe:
         return (self.x_lo, self.x_hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubleCurve:
     """Two disjoint 1-curves; the left is a vertical segment, the right an
-    L-shaped stem plus horizontal arm. The id records the recursion path."""
+    L-shaped stem plus horizontal arm. The id records the recursion path.
+    Its checks are _check_double_curve's, which _double_curve makes once."""
 
     id: str
     left: Polyline
     right: Polyline
 
     def __post_init__(self):
-        for name, poly in (("left", self.left), ("right", self.right)):
-            validate_simple(poly)
-            if poly.points[0].y != 0:
-                raise ContractError(f"{self.id!r}.{name} must start on the baseline")
-            for p in poly.points[1:]:
-                if p.y <= 0:
-                    raise ContractError(
-                        f"{self.id!r}.{name} must stay strictly above the baseline")
-        if self.left.points[0].x >= self.right.points[0].x:
-            raise ContractError(
-                f"{self.id!r}: left basepoint must precede the right one")
-        if not polylines_disjoint(self.left, self.right):
-            raise ContractError(f"{self.id!r}: the two 1-curves must be disjoint")
+        _check_double_curve(self.id, self.left, self.right)
 
     def polylines(self):
         return (self.left, self.right)
@@ -95,20 +84,20 @@ class DoubleCurve:
         return [p.x for p in self.basepoints]
 
 
-@dataclass(frozen=True)
-class Gadget:
+class Gadget(NamedTuple):
     x_id: str
     a: Probe
     b: Probe
 
 
-@dataclass(frozen=True)
-class BurlingNode:
+class BurlingNode(NamedTuple):
     """Recursion-tree node for one (sub)instance.
 
     Level-1 nodes hold a single member and probe. Higher nodes hold the
     outer copy, one inner copy per outer probe, and per (outer probe, inner
-    probe) the new double-curve id with its two probes.
+    probe) the new double-curve id with its two probes. Nodes and gadgets
+    are named tuples: the generator and the loader build many, and a tuple
+    is built without a frozen __setattr__ per field.
     """
 
     level: int
@@ -144,6 +133,47 @@ class BurlingInstance(PairMapped):
     tree: BurlingNode
 
 
+def _check_double_curve(id: str, left: Polyline, right: Polyline) -> None:
+    """A double-curve's checks, in order: each part simple, on the baseline
+    at its start only and above it after; the left basepoint first; the
+    parts disjoint."""
+    for name, poly in (("left", left), ("right", right)):
+        validate_simple(poly)
+        if poly.points[0].y != 0:
+            raise ContractError(f"{id!r}.{name} must start on the baseline")
+        for p in poly.points[1:]:
+            if p.y <= 0:
+                raise ContractError(f"{id!r}.{name} must stay strictly above the baseline")
+    if left.points[0].x >= right.points[0].x:
+        raise ContractError(f"{id!r}: left basepoint must precede the right one")
+    if not polylines_disjoint(left, right):
+        raise ContractError(f"{id!r}: the two 1-curves must be disjoint")
+
+
+# Slot setters build the generator's and the loader's checked objects
+# without __init__ and its frozen __setattr__ per field.
+_set_lo, _set_hi = Probe.x_lo.__set__, Probe.x_hi.__set__
+_set_id, _set_left, _set_right = DoubleCurve.id.__set__, DoubleCurve.left.__set__, \
+    DoubleCurve.right.__set__
+
+
+def _probe(lo: int, hi: int) -> Probe:
+    probe = object.__new__(Probe)
+    _set_lo(probe, lo)
+    _set_hi(probe, hi)
+    return probe
+
+
+def _double_curve(id: str, left: Polyline, right: Polyline) -> DoubleCurve:
+    """DoubleCurve(id, left, right), its checks made once."""
+    _check_double_curve(id, left, right)
+    m = object.__new__(DoubleCurve)
+    _set_id(m, id)
+    _set_left(m, left)
+    _set_right(m, right)
+    return m
+
+
 # Construction-time integer layout.
 
 def _scale_bits(level: int) -> int:
@@ -163,8 +193,7 @@ def _div(n: int, d: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class _RMember:
+class _RMember(NamedTuple):
     """One double-curve of the layout, each coordinate an int at the level's
     scale 2**D (the value times 2**D)."""
 
@@ -183,25 +212,22 @@ class _RInst:
 
 
 def _map_node(node: BurlingNode, prefix: str, f) -> BurlingNode:
-    """The node with every member id prefixed and every probe end x -> f(x)."""
-    def probe(p):
-        return Probe(f(p.x_lo), f(p.x_hi))
-
+    """The node with every member id prefixed and every probe end x -> f(x);
+    f is increasing, so each probe keeps x_lo < x_hi."""
     if node.level == 1:
-        return BurlingNode(level=1, member_id=prefix + node.member_id,
-                           probe=probe(node.probe))
-    return BurlingNode(
-        level=node.level,
-        outer=_map_node(node.outer, prefix, f),
-        inner=tuple(_map_node(ch, prefix, f) for ch in node.inner),
-        gadgets=tuple(tuple(Gadget(prefix + g.x_id, probe(g.a), probe(g.b)) for g in row)
-                      for row in node.gadgets))
+        p = node.probe
+        return BurlingNode(1, prefix + node.member_id, _probe(f(p.x_lo), f(p.x_hi)))
+    return BurlingNode(node.level, None, None, _map_node(node.outer, prefix, f),
+                       tuple(_map_node(ch, prefix, f) for ch in node.inner),
+                       tuple(tuple(Gadget(prefix + g.x_id, _probe(f(g.a.x_lo), f(g.a.x_hi)),
+                                          _probe(f(g.b.x_lo), f(g.b.x_hi))) for g in row)
+                             for row in node.gadgets))
 
 
 def _base() -> _RInst:
     """Level 1 in eighths of the unit box (scale 2**3)."""
     m = _RMember("x", lx=1, ltop=4, rx=3, rh=2, rend=7)
-    return _RInst((m,), BurlingNode(level=1, member_id="x", probe=Probe(4, 6)))
+    return _RInst((m,), BurlingNode(1, "x", _probe(4, 6)))
 
 
 def _crossing_arms(inst: _RInst, lo: int, hi: int) -> list:
@@ -269,13 +295,13 @@ def _step(inst: _RInst) -> _RInst:
             arm_h = _div(h, 2) + (j + 1) * arm_step
             gid = f"g{i}.{j}"
             members.append(_RMember(gid, l_x, l_top, s0 + slot_1, arm_h, s0 + slot_7))
-            row.append(Gadget(gid, Probe(c + _div(w, 4), c + _div(w, 2)),
-                              Probe(s0 + slot_3, s0 + slot_5)))
+            # w > 0 and slot > 0, so both probes have positive width
+            row.append(Gadget(gid, _probe(c + _div(w, 4), c + _div(w, 2)),
+                              _probe(s0 + slot_3, s0 + slot_5)))
         gadget_rows.append(tuple(row))
 
-    tree = BurlingNode(level=level + 1,
-                       outer=_map_node(inst.tree, "o.", lambda x: x * up),
-                       inner=tuple(inner_nodes), gadgets=tuple(gadget_rows))
+    tree = BurlingNode(level + 1, None, None, _map_node(inst.tree, "o.", lambda x: x * up),
+                       tuple(inner_nodes), tuple(gadget_rows))
     return _RInst(tuple(members), tree)
 
 
@@ -332,9 +358,10 @@ def generate(k: int) -> BurlingInstance:
         for m in inst.members:
             lx, rx, rend = rank_x(m.lx), rank_x(m.rx), rank_x(m.rend)
             ltop, rh = rank_y(m.ltop), rank_y(m.rh)
-            left = Polyline((Point(lx, 0), Point(lx, ltop)), f"{m.id}.L")
-            right = Polyline((Point(rx, 0), Point(rx, rh), Point(rend, rh)), f"{m.id}.R")
-            members.append(DoubleCurve(m.id, left, right))
+            left = _checked_polyline((_point(lx, 0), _point(lx, ltop)), f"{m.id}.L")
+            right = _checked_polyline((_point(rx, 0), _point(rx, rh), _point(rend, rh)),
+                                      f"{m.id}.R")
+            members.append(_double_curve(m.id, left, right))
         tree = _map_node(inst.tree, "", rank_x)
 
     probes = tree.probes

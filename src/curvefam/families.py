@@ -25,7 +25,8 @@ from .errors import (
 from .geometry import (
     Point,
     Polyline,
-    SegRelation,
+    _OVERLAP,
+    _POINT,
     _crossing_scan,
     _derived_polyline,
     cached_attribute,
@@ -209,19 +210,22 @@ def _validate_kind(fam: CurveFamily) -> None:
         raise FamilyValidationError("member ids must be unique")
 
     kind, t = fam.kind, fam.t
-    if kind is FamilyKind.TWO_T and (t is None or t < 1):
+    two_t = kind is FamilyKind.TWO_T
+    if two_t and (t is None or t < 1):
         raise FamilyValidationError("TWO_T family needs t >= 1")
-    if kind is not FamilyKind.TWO_T and t is not None:
+    if not two_t and t is not None:
         raise FamilyValidationError(f"a {kind.value} family takes no t, got t={t}")
+    one, even, lr2 = (kind is FamilyKind.ONE_CURVE, kind in (FamilyKind.EVEN, FamilyKind.LR),
+                      kind is FamilyKind.LR2)
     for m in fam.members:
         n = m.n_crossings
-        if kind is FamilyKind.ONE_CURVE and n != 1:
+        if one and n != 1:
             raise FamilyValidationError(f"{m.id!r} has {n} basepoints in a 1-curve family")
-        if kind in (FamilyKind.EVEN, FamilyKind.LR) and (n < 2 or n % 2):
+        if even and (n < 2 or n % 2):
             raise FamilyValidationError(f"{m.id!r} has {n} basepoints in an even-curve family")
-        if kind is FamilyKind.TWO_T and n != 2 * t:
+        if two_t and n != 2 * t:
             raise FamilyValidationError(f"{m.id!r} has {n} basepoints, expected {2 * t}")
-        if kind is FamilyKind.LR2 and n != 2:
+        if lr2 and n != 2:
             raise FamilyValidationError(f"{m.id!r} has {n} basepoints in a 2-curve family")
 
 
@@ -277,10 +281,14 @@ def pair_points(members) -> dict:
     boxes = []
     for i, m in enumerate(members):
         for k, (names, poly) in enumerate(m.parts()):
-            for a, b in zip(poly.points, poly.points[1:]):
-                boxes.append((a.x if a.x < b.x else b.x, b.x if a.x < b.x else a.x,
-                              a.y if a.y < b.y else b.y, b.y if a.y < b.y else a.y,
+            a, *rest = poly.points
+            ax, ay = a.x, a.y
+            for b in rest:
+                bx, by = b.x, b.y
+                boxes.append((ax if ax < bx else bx, bx if ax < bx else ax,
+                              ay if ay < by else by, by if ay < by else ay,
                               a, b, i, k, names))
+                a, ax, ay = b, bx, by
     boxes.sort(key=lambda box: box[0])
     starts = [box[0] for box in boxes]
     found, overlaps = {}, []
@@ -290,9 +298,9 @@ def pair_points(members) -> dict:
             if other[6] != u and other[3] >= y0 and y1 >= other[2]:
                 s, t = (box, other) if u < other[6] else (other, box)
                 rel, p = segment_intersection(s[4], s[5], t[4], t[5])
-                if rel is SegRelation.OVERLAP:
+                if rel is _OVERLAP:
                     overlaps.append((s[6], t[6], s[7], t[7]))
-                elif rel is SegRelation.POINT:
+                elif rel is _POINT:
                     key = (s[6], t[6], p.x, p.y)
                     seen = found.get(key)
                     if seen is None:
@@ -317,6 +325,7 @@ def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None) -> 
     pairs with both ends in it, re-indexed by position. The re-indexing is
     monotone, so each map equals pair_points of the subfamily's members, in
     the same order.
+    kind and t are fam's, so _validate_kind cannot fail and is not rerun.
     """
     cell_of = [None] * len(fam.members)
     for c, group in enumerate(groups):
@@ -327,8 +336,10 @@ def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None) -> 
         (c, ki), (d, kj) = cell_of[i], cell_of[j]
         if c == d:
             maps[c][ki, kj] = hits
-    return [_with_pairs(tuple(m for _, m in group), kind, t, pairs)
-            for group, pairs in zip(groups, maps)]
+    cells = [object.__new__(CurveFamily) for _ in groups]
+    for cell, group, pairs in zip(cells, groups, maps):     # pairs: the cached attribute's
+        vars(cell).update(members=tuple(m for _, m in group), kind=kind, t=t, pairs=pairs)
+    return cells
 
 
 def _with_pairs(members: tuple, kind: FamilyKind, t, pairs: dict) -> CurveFamily:

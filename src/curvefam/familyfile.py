@@ -20,19 +20,16 @@ import math
 from collections import Counter
 from typing import Union
 
-from .burling import BurlingInstance, BurlingNode, DoubleCurve, Gadget, Probe, _cyclic_gc_paused
-from .errors import ContractError, FileFormatError
+from .burling import (BurlingInstance, BurlingNode, Gadget, Probe, _cyclic_gc_paused,
+                      _double_curve, _probe)
+from .errors import FileFormatError
 from .families import (
     CurveFamily,
     FamilyKind,
     decompose_even_curve,
     make_one_curve,
 )
-from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline, _derived_polyline, _set_x, _set_y
-
-# Slot setters build a Point or Probe without __post_init__: the readers
-# below test each coordinate and probe once, inline, themselves.
-_set_lo, _set_hi = Probe.x_lo.__set__, Probe.x_hi.__set__
+from .geometry import MAX_COORD_MAGNITUDE, Polyline, _checked_polyline, _point
 
 
 def dump_json(obj) -> str:
@@ -52,7 +49,7 @@ _TYPE_NAMES = {list: "a list", dict: "an object", str: "a string", int: "an inte
 
 def _typed(v, typ, what: str):
     """v itself, after checking that it is a typ (a bool is no integer)."""
-    if isinstance(v, bool) or not isinstance(v, typ):
+    if type(v) is not typ and (isinstance(v, bool) or not isinstance(v, typ)):
         raise FileFormatError(f"{what} must be {_TYPE_NAMES[typ]}, got {v!r:.60}")
     return v
 
@@ -74,50 +71,32 @@ def _probe_from_json(row, what: str) -> Probe:
         _check_int(lo, what)
         _check_int(hi, what)
         raise FileFormatError(f"{what} [{lo}, {hi}] needs x_lo < x_hi")
-    probe = object.__new__(Probe)
-    _set_lo(probe, lo)
-    _set_hi(probe, hi)
-    return probe
+    return _probe(lo, hi)
 
 
 def _polyline_from_json(rows, what: str, id: str) -> Polyline:
-    """The Polyline of a point list, each fact about it checked once.
-
-    Each coordinate is tested inline, and then Polyline's own checks (a
-    vertex count from 2 to the cap, no repeated adjacent vertex) are made
-    here in its order and with its messages, so the Polyline is built
-    without __post_init__.
-    """
+    """The Polyline of a point list, each coordinate checked once, inline,
+    and its vertices by _checked_polyline."""
     pts = []
     m = MAX_COORD_MAGNITUDE
-    repeat = None                   # the first vertex equal to the next one
-    px = py = None
     for row in _typed(rows, list, f"{what} points"):
-        if not isinstance(row, (list, tuple)) or len(row) != 2:
+        if not (type(row) is list or isinstance(row, (list, tuple))) or len(row) != 2:
             raise FileFormatError(f"{what}: point must be [x, y], got {row!r}")
         x, y = row
         if not (type(x) is int and type(y) is int and -m <= x <= m and -m <= y <= m):
             _check_int(x, what)     # one of the two raises
             _check_int(y, what)
-        if x == px and y == py and repeat is None:
-            repeat = pts[-1]
-        p = object.__new__(Point)
-        _set_x(p, x)
-        _set_y(p, y)
-        pts.append(p)
-        px, py = x, y
-    if len(pts) < 2:
-        raise ContractError(f"polyline {id!r} needs at least 2 points")
-    poly = _derived_polyline(tuple(pts), id)        # checks the vertex cap
-    if repeat is not None:
-        raise ContractError(f"polyline {id!r} repeats vertex {repeat}")
-    return poly
+        pts.append(_point(x, y))
+    return _checked_polyline(tuple(pts), id)
 
 
 def _points_to_json(poly: Polyline, factor: int = 1):
     out = []
     for p in poly.points:
         x, y = p.x * factor, p.y * factor
+        if type(x) is int and type(y) is int and max(abs(x), abs(y)) <= MAX_COORD_MAGNITUDE:
+            out.append([x, y])
+            continue
         for v in (x, y):
             if getattr(v, "denominator", 1) != 1:
                 raise FileFormatError(
@@ -171,15 +150,12 @@ def family_from_jsonable(doc: dict) -> CurveFamily:
         if kind is not FamilyKind.TWO_T:
             raise FileFormatError(f"a {kind.value} family file takes no t")
     members = []
+    member = make_one_curve if kind is FamilyKind.ONE_CURVE else decompose_even_curve
     for row in _typed(doc.get("curves", []), list, "curves"):
         mid = _curve_id(_typed(row, dict, "curve"))
         if "points" not in row:
             raise FileFormatError(f"curve {mid!r} misses points")
-        poly = _polyline_from_json(row["points"], f"curve {mid!r}", mid)
-        if kind is FamilyKind.ONE_CURVE:
-            members.append(make_one_curve(poly))
-        else:
-            members.append(decompose_even_curve(poly))
+        members.append(member(_polyline_from_json(row["points"], f"curve {mid!r}", mid)))
     return CurveFamily(tuple(members), kind, t)
 
 
@@ -196,8 +172,9 @@ def _node_to_jsonable(node: BurlingNode) -> dict:
     }
 
 
-def _node_from_jsonable(doc) -> BurlingNode:
-    """One recursion-tree node, with the shape the construction gives it.
+def _node_from_jsonable(doc, ids: list) -> BurlingNode:
+    """One recursion-tree node, with the shape the construction gives it;
+    its member ids are appended to ids, in BurlingNode.member_ids order.
 
     A level-k node (k > 1) holds a level-(k-1) outer copy, one level-(k-1)
     inner copy per outer probe, and per inner probe of copy i a gadget in
@@ -208,30 +185,31 @@ def _node_from_jsonable(doc) -> BurlingNode:
     if level < 1:
         raise FileFormatError(f"recursion-tree level must be >= 1, got {level}")
     if level == 1:
-        return BurlingNode(level=1, member_id=_typed(doc.get("member"), str, "tree member"),
-                           probe=_probe_from_json(doc.get("probe"), "probe"))
-    outer = _node_from_jsonable(doc.get("outer"))
-    inner = tuple(_node_from_jsonable(ch)
+        ids.append(_typed(doc.get("member"), str, "tree member"))
+        return BurlingNode(1, ids[-1], _probe_from_json(doc.get("probe"), "probe"))
+    outer = _node_from_jsonable(doc.get("outer"), ids)
+    inner = tuple(_node_from_jsonable(ch, ids)
                   for ch in _typed(doc.get("inner"), list, "inner copies"))
     if any(ch.level != level - 1 for ch in (outer, *inner)):
         raise FileFormatError(f"a level-{level} node needs level-{level - 1} copies")
     rows = _typed(doc.get("gadgets"), list, "gadget rows")
-    if len(inner) != len(outer.probes) or len(rows) != len(inner):
+    p = len(outer.probes)       # as every node of outer's level has
+    if len(inner) != p or len(rows) != p:
         raise FileFormatError(
             f"a level-{level} node needs one inner copy and one gadget row "
             "per outer probe")
     gadget_rows = []
-    for row, ch in zip(rows, inner):
-        if len(_typed(row, list, "gadget row")) != len(ch.probes):
+    for row in rows:
+        if len(_typed(row, list, "gadget row")) != p:
             raise FileFormatError("a gadget row needs one gadget per inner probe")
         gadgets = []
         for g in row:
             g = _typed(g, dict, "gadget")
-            gadgets.append(Gadget(_typed(g.get("x"), str, "gadget member"),
-                                  _probe_from_json(g.get("a"), "probe"),
+            ids.append(_typed(g.get("x"), str, "gadget member"))
+            gadgets.append(Gadget(ids[-1], _probe_from_json(g.get("a"), "probe"),
                                   _probe_from_json(g.get("b"), "probe")))
         gadget_rows.append(tuple(gadgets))
-    return BurlingNode(level=level, outer=outer, inner=inner, gadgets=tuple(gadget_rows))
+    return BurlingNode(level, None, None, outer, inner, tuple(gadget_rows))
 
 
 def burling_to_jsonable(inst: BurlingInstance) -> dict:
@@ -253,15 +231,16 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
         parts = row.get("parts")
         if not isinstance(parts, list) or len(parts) != 2:
             raise FileFormatError(f"double-curve {mid!r} needs parts [L, R]")
-        left = _polyline_from_json(parts[0], f"{mid}.L", f"{mid}.L")
-        right = _polyline_from_json(parts[1], f"{mid}.R", f"{mid}.R")
-        members.append(DoubleCurve(mid, left, right))
+        lid, rid = f"{mid}.L", f"{mid}.R"
+        members.append(_double_curve(mid, _polyline_from_json(parts[0], lid, lid),
+                                     _polyline_from_json(parts[1], rid, rid)))
     probes = tuple(_probe_from_json(row, "probe")
                    for row in _typed(doc.get("probes", []), list, "probes"))
     burl = doc.get("burling")
     if not isinstance(burl, dict) or "tree" not in burl or "k" not in burl:
         raise FileFormatError("double-curve family needs a burling section")
-    tree = _node_from_jsonable(burl["tree"])
+    tree_ids = []
+    tree = _node_from_jsonable(burl["tree"], tree_ids)
     if _typed(burl["k"], int, "burling k") != tree.level:
         raise FileFormatError(
             f"burling k = {burl['k']} disagrees with the tree level {tree.level}")
@@ -269,11 +248,10 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
     if tree.probes != probes:
         raise FileFormatError("probes section disagrees with the recursion tree")
     curve_ids = [m.id for m in members]
-    tree_ids = tree.member_ids()
     for what, ids in (("curve list", curve_ids), ("recursion tree", tree_ids)):
-        repeated = [mid for mid, n in Counter(ids).items() if n > 1]
-        if repeated:
-            raise FileFormatError(f"{what} holds member id {repeated[0]!r} more than once")
+        if len(set(ids)) != len(ids):
+            repeated = next(mid for mid, n in Counter(ids).items() if n > 1)
+            raise FileFormatError(f"{what} holds member id {repeated!r} more than once")
     if set(tree_ids) != set(curve_ids):
         raise FileFormatError("recursion tree members disagree with the curve list")
     return inst
@@ -300,6 +278,6 @@ def load(path: str) -> Union[CurveFamily, BurlingInstance]:
             raise FileFormatError(f"{path}: top level must be an object")
         if _check_int(doc.get("scale", 1), "scale") < 1:
             raise FileFormatError(f"{path}: scale must be a positive integer")
-        if doc.get("kind") == "double":
-            return burling_from_jsonable(doc)
-        return family_from_jsonable(doc)
+        read = burling_from_jsonable if doc.get("kind") == "double" else family_from_jsonable
+        obj, doc = read(doc), None      # the collector resumes with the decoded JSON freed
+    return obj

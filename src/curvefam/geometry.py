@@ -90,12 +90,11 @@ class Point:
 _set_x, _set_y = Point.x.__set__, Point.y.__set__
 
 
-def _sign(v: Coord) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+def _point(x: int, y: int) -> Point:
+    p = object.__new__(Point)
+    _set_x(p, x)
+    _set_y(p, y)
+    return p
 
 
 def _quotient(n: Coord, d: Coord) -> Coord:
@@ -110,7 +109,8 @@ def orientation(o: Point, a: Point, b: Point) -> int:
 
     +1 for a counter-clockwise turn, -1 for clockwise, 0 for collinear.
     """
-    return _sign((a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x))
+    v = (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+    return (v > 0) - (v < 0)
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -127,23 +127,43 @@ class SegRelation(enum.Enum):
     OVERLAP = "overlap"
 
 
+# Module globals for the pair loops: an enum attribute read costs about 100 ns.
+_DISJOINT, _POINT, _OVERLAP = SegRelation.DISJOINT, SegRelation.POINT, SegRelation.OVERLAP
+_NO_MEETING = (_DISJOINT, None)
+
+
 def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
     """Classify the intersection of closed segments p1p2 and q1q2.
 
     Returns (SegRelation.DISJOINT, None), (SegRelation.POINT, point) or
     (SegRelation.OVERLAP, (a, b)) where ab is the shared subsegment of
-    positive length. All computed points are exact.
+    positive length. All computed points are exact. The exact test of every
+    pair loop: it rejects a pair once one segment lies strictly on one side
+    of the other's line, and settles a proper crossing before the collinear
+    and touching cases.
     """
-    # The four orientation tests, inlined: this is the innermost pair loop.
-    px, py, qx, qy = p2.x - p1.x, p2.y - p1.y, q2.x - q1.x, q2.y - q1.y
-    d1 = _sign(qx * (p1.y - q1.y) - qy * (p1.x - q1.x))
-    d2 = _sign(qx * (p2.y - q1.y) - qy * (p2.x - q1.x))
-    d3 = _sign(px * (q1.y - p1.y) - py * (q1.x - p1.x))
-    d4 = _sign(px * (q2.y - p1.y) - py * (q2.x - p1.x))
+    ax, ay, bx, by, cx, cy, dx, dy = p1.x, p1.y, p2.x, p2.y, q1.x, q1.y, q2.x, q2.y
+    px, py, qx, qy = bx - ax, by - ay, dx - cx, dy - cy
+    c1 = qx * (ay - cy) - qy * (ax - cx)
+    c2 = qx * (by - cy) - qy * (bx - cx)
+    if (c1 > 0 and c2 > 0) or (c1 < 0 and c2 < 0):
+        return _NO_MEETING
+    c3 = px * (cy - ay) - py * (cx - ax)
+    c4 = px * (dy - ay) - py * (dx - ax)
+    if (c3 > 0 and c4 > 0) or (c3 < 0 and c4 < 0):
+        return _NO_MEETING
 
-    if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
+    if c1 and c2 and c3 and c4:
+        # Proper crossing in both interiors: the point is p1 + (c1/den)(p2 - p1).
+        den = c1 - c2                       # = qy * px - qx * py
+        x, y = ax * den + c1 * px, ay * den + c1 * py
+        if type(x) is int and type(y) is int and x % den == 0 and y % den == 0:
+            return _POINT, _point(x // den, y // den)     # ints: Point's test is moot
+        return _POINT, Point(_quotient(x, den), _quotient(y, den))
+
+    if not (c1 or c2 or c3 or c4):
         # Collinear: project on the dominant axis and intersect parameter ranges.
-        if p1.x != p2.x or q1.x != q2.x:
+        if ax != bx or cx != dx:
             key = lambda pt: pt.x
         else:
             key = lambda pt: pt.y
@@ -152,31 +172,19 @@ def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
         lo = max(key(lo_p), key(lo_q))
         hi = min(key(hi_p), key(hi_q))
         if lo > hi:
-            return SegRelation.DISJOINT, None
+            return _NO_MEETING
         pick = lambda v: lo_p if key(lo_p) == v else (hi_p if key(hi_p) == v else
                                                       (lo_q if key(lo_q) == v else hi_q))
         if lo == hi:
-            return SegRelation.POINT, pick(lo)
-        return SegRelation.OVERLAP, (pick(lo), pick(hi))
-
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        # Proper crossing in both interiors: the point is p1 + (num/den)(p2 - p1).
-        num = qx * (p1.y - q1.y) - qy * (p1.x - q1.x)
-        den = qy * px - qx * py
-        x, y = p1.x * den + num * px, p1.y * den + num * py
-        if type(x) is int and type(y) is int and x % den == 0 and y % den == 0:
-            p = object.__new__(Point)       # ints: Point's type test can be skipped
-            _set_x(p, x // den)
-            _set_y(p, y // den)
-            return SegRelation.POINT, p
-        return SegRelation.POINT, Point(_quotient(x, den), _quotient(y, den))
+            return _POINT, pick(lo)
+        return _OVERLAP, (pick(lo), pick(hi))
 
     # Touching cases: an endpoint of one segment lies on the other.
-    for pt, da, (a, b) in ((p1, d1, (q1, q2)), (p2, d2, (q1, q2)),
-                           (q1, d3, (p1, p2)), (q2, d4, (p1, p2))):
+    for pt, da, (a, b) in ((p1, c1, (q1, q2)), (p2, c2, (q1, q2)),
+                           (q1, c3, (p1, p2)), (q2, c4, (p1, p2))):
         if da == 0 and on_segment(pt, a, b):
-            return SegRelation.POINT, pt
-    return SegRelation.DISJOINT, None
+            return _POINT, pt
+    return _NO_MEETING
 
 
 @dataclass(frozen=True)
@@ -189,14 +197,7 @@ class Polyline:
     def __post_init__(self):
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
-            raise ContractError(f"polyline {self.id!r} needs at least 2 points")
-        if len(pts) > MAX_POLYLINE_VERTICES:
-            raise ContractError(
-                f"polyline {self.id!r} exceeds the {MAX_POLYLINE_VERTICES}-vertex cap")
-        for a, b in zip(pts, pts[1:]):
-            if a.x == b.x and a.y == b.y:       # not the generated __eq__: cheaper
-                raise ContractError(f"polyline {self.id!r} repeats vertex {a}")
+        _check_vertices(pts, self.id)
 
     @cached_attribute
     def segments(self):
@@ -247,6 +248,25 @@ def _derived_polyline(points: tuple, id: str) -> Polyline:
     return poly
 
 
+def _check_vertices(points: tuple, id: str) -> None:
+    """Polyline's checks: 2 vertices to the cap, none equal to the next."""
+    if len(points) < 2:
+        raise ContractError(f"polyline {id!r} needs at least 2 points")
+    if len(points) > MAX_POLYLINE_VERTICES:
+        raise ContractError(f"polyline {id!r} exceeds the {MAX_POLYLINE_VERTICES}-vertex cap")
+    for a, b in zip(points, points[1:]):
+        if a.x == b.x and a.y == b.y:           # not the generated __eq__: cheaper
+            raise ContractError(f"polyline {id!r} repeats vertex {a}")
+
+
+def _checked_polyline(points: tuple, id: str) -> Polyline:
+    """Polyline(points, id), checked once, without __post_init__."""
+    _check_vertices(points, id)
+    poly = object.__new__(Polyline)
+    poly.__dict__.update(points=points, id=id)
+    return poly
+
+
 _xy = operator.attrgetter("x", "y")
 
 
@@ -279,7 +299,7 @@ def validate_simple(poly: Polyline) -> None:
                 if sx1 < tx0 or tx1 < sx0 or sy1 < ty0 or ty1 < sy0:
                     continue
                 rel, _ = segment_intersection(a1, a2, b1, b2)
-                if rel is not SegRelation.DISJOINT:
+                if rel is not _DISJOINT:
                     raise ContractError(
                         f"polyline {poly.id!r} self-intersects between edges {i} and {j}")
     if fold < n:
@@ -324,10 +344,10 @@ def segments_intersect(a: Polyline, b: Polyline) -> list:
     found = set()
     for a1, a2, b1, b2 in _box_pairs(a, b):
         rel, data = segment_intersection(a1, a2, b1, b2)
-        if rel is SegRelation.OVERLAP:
+        if rel is _OVERLAP:
             raise OverlapError(
                 f"polylines {a.id!r} and {b.id!r} share a segment of positive length")
-        if rel is SegRelation.POINT:
+        if rel is _POINT:
             found.add(data)
     return sorted(found, key=_xy) if found else []
 
@@ -335,7 +355,7 @@ def segments_intersect(a: Polyline, b: Polyline) -> list:
 def polylines_disjoint(a: Polyline, b: Polyline) -> bool:
     for a1, a2, b1, b2 in _box_pairs(a, b):
         rel, _ = segment_intersection(a1, a2, b1, b2)
-        if rel is not SegRelation.DISJOINT:
+        if rel is not _DISJOINT:
             return False
     return True
 

@@ -113,9 +113,10 @@ def graph_from_edges(n: int, edges: Iterable, labels=None) -> IntersectionGraph:
             raise ContractError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    return IntersectionGraph(n, tuple(adj), tuple(labels))
+    labels = tuple(str(i) for i in range(n)) if labels is None else tuple(labels)
+    if len(labels) != n:
+        raise ContractError("labels must match vertex count")
+    return _prechecked_graph(n, adj, labels)   # irreflexive and symmetric as built
 
 
 def build_graph(members) -> IntersectionGraph:

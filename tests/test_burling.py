@@ -121,6 +121,45 @@ class TestGenerate:
         Fraction(1, 2)
         assert made == [(1, 2)]
 
+    def test_generator_checks_each_double_curve_once(self, monkeypatch):
+        # ranks are ints and probe ends keep their order, so the generator
+        # builds points, probes and parts without their constructors' checks
+        # and checks each member once, through the loader's builder
+        for cls in (P, Probe, Polyline, DoubleCurve):
+            monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("checked twice"))
+        checked = []
+        real = burling._check_double_curve
+        monkeypatch.setattr(burling, "_check_double_curve",
+                            lambda *args: checked.append(args[0]) or real(*args))
+        inst = generate(4)
+        assert checked == [m.id for m in inst.members] and len(checked) == 181
+
+    @pytest.mark.parametrize("rank, message", [
+        ("y", "polyline 'p0.p0.p0.x.R' repeats vertex Point(x=27, y=0)"),
+        ("x", "'o.o.o.x': left basepoint must precede the right one"),
+    ])
+    def test_generator_still_checks_members(self, monkeypatch, rank, message):
+        # a layout whose lowest y ranks to 0 (or whose x order is reversed)
+        # fails the member checks, with the messages the checked
+        # constructors gave
+        real = burling._ranker
+        rankers = []
+
+        def ranker(values):
+            f = real(values)
+            rankers.append(f)
+            if rank == "x" and len(rankers) == 1:
+                return lambda v: -f(v)
+            if rank == "y" and len(rankers) == 2:
+                low = min(values)
+                return lambda v: 0 if v == low else f(v)
+            return f
+
+        monkeypatch.setattr(burling, "_ranker", ranker)
+        with pytest.raises(ContractError) as excinfo:
+            generate(4)
+        assert str(excinfo.value) == message
+
     def test_deterministic(self):
         a, b = generate(3), generate(3)
         assert [m.id for m in a.members] == [m.id for m in b.members]

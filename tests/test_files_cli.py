@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import curvefam
-from curvefam import cli, families, familyfile, geometry, reductions
+from curvefam import burling, cli, families, familyfile, geometry, graphcore, reductions
 from curvefam.burling import Probe, generate
 from curvefam.cli import main
 from curvefam.errors import ContractError, FileFormatError
@@ -342,6 +342,54 @@ def test_loader_checks_each_coordinate_once(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("checked twice"))
     assert len(familyfile.load(path).members) == 13
     assert len(familyfile.load(one_curve).members) == 1
+
+
+def _counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's first argument."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_loader_checks_each_double_curve_once(tmp_path, monkeypatch):
+    # the loader runs the shared double-curve check once per member and
+    # builds the member without DoubleCurve.__post_init__
+    path = str(tmp_path / "x4.json")
+    familyfile.save(generate(4), path)
+    monkeypatch.setattr(burling.DoubleCurve, "__post_init__",
+                        lambda self: pytest.fail("double-curve checked twice"))
+    checked = _counting(monkeypatch, burling, "_check_double_curve")
+    simple = _counting(monkeypatch, burling, "validate_simple")
+    inst = familyfile.load(path)
+    assert checked == [m.id for m in inst.members] and len(checked) == 181
+    assert len(simple) == 362
+
+
+def test_loaded_graph_built_without_recheck(tmp_path, monkeypatch):
+    # the family graph is read off the pair map, each edge checked once
+    path = str(tmp_path / "x4.json")
+    familyfile.save(generate(4), path)
+    monkeypatch.setattr(graphcore.IntersectionGraph, "__post_init__",
+                        lambda self: pytest.fail("family graph re-checked"))
+    g = familyfile.load(path).graph()
+    assert (g.n, g.m) == (181, 323)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_loader_and_generator_agree(tmp_path, k):
+    inst = generate(k)
+    path = str(tmp_path / f"x{k}.json")
+    familyfile.save(inst, path)
+    back = familyfile.load(path)
+    assert back.k == k and back.probes == inst.probes and back.tree == inst.tree
+    assert [(m.id, m.left.points, m.right.points) for m in back.members] == [
+        (m.id, m.left.points, m.right.points) for m in inst.members]
+    assert back.pairs == inst.pairs
 
 
 @pytest.mark.parametrize("points", [[], [[0, 0]], [[0, 0], [0, 2], [3, 2], [3, 2]],

@@ -270,6 +270,22 @@ class TestGraphStructure:
         with pytest.raises(ContractError):
             IntersectionGraph(2, (0b10, 0b00), ("a", "b"))
 
+    def test_asymmetric_adjacency_still_rejected(self):
+        # a graph built directly keeps the full check, which graph_from_edges
+        # has no need of
+        with pytest.raises(ContractError, match="adjacency must be symmetric"):
+            IntersectionGraph(3, (0b110, 0b001, 0b000), ("a", "b", "c"))
+
+    def test_edges_checked_once(self, monkeypatch):
+        # graph_from_edges checks each edge as it adds it, then builds the
+        # graph without the symmetry scan; the label count is still checked
+        monkeypatch.setattr(IntersectionGraph, "__post_init__",
+                            lambda self: pytest.fail("edge list re-checked"))
+        g = graph_from_edges(3, [(0, 1), (2, 1)], ("a", "b", "c"))
+        assert g.adj == (0b010, 0b101, 0b010) and g.labels == ("a", "b", "c")
+        with pytest.raises(ContractError, match="labels must match vertex count"):
+            graph_from_edges(3, [(0, 1)], ("a", "b"))
+
     def test_edge_list_round_trip(self):
         g = C(6)
         text = format_edge_list(g)

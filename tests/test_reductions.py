@@ -527,6 +527,25 @@ class TestRestrictedPairMaps:
             for sub in subs:
                 assert _same_map(sub)
 
+    def test_cells_skip_kind_check_halves_keep_it(self, monkeypatch):
+        # a cell is a subset of a validated family of the same kind, so it is
+        # built without _validate_kind; split_2t's halves hold new cut
+        # curves, and each is still checked
+        fam = two_t_family(random.Random(311), max_members=16)
+        checked = []
+        real = families._validate_kind
+        monkeypatch.setattr(families, "_validate_kind",
+                            lambda f: checked.append(f) or real(f))
+        halves = split_2t(fam)
+        assert len(checked) == 2 and all(c is h for c, h in zip(checked, halves))
+        checked.clear()
+        groups = [[(i, m) for i, m in enumerate(fam.members) if i % 3 == c] for c in range(3)]
+        subs = _restricted_families(fam, groups, fam.kind, fam.t)
+        assert checked == []
+        for sub, group in zip(subs, groups):
+            assert (sub.members, sub.kind, sub.t) == (tuple(m for _, m in group), fam.kind, fam.t)
+            assert _same_map(sub)
+
     def test_product_color_builds_one_map(self, tmp_path, monkeypatch):
         # only the t = 2 family builds a map; its halves, the 1-curve
         # families and every cell restrict it
