@@ -210,6 +210,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
     if sub == "rewire":
         fam = familyfile.load(args.family)
+        if not isinstance(fam, CurveFamily):
+            raise FileFormatError("reduce rewire needs an even-curve family file")
         out = reductions.rewire_semicircles(fam)
         familyfile.save(out, args.out)
         before, after = fam.graph(), out.graph()

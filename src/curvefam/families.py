@@ -37,13 +37,15 @@ from .geometry import (
 from .graphcore import _bits, chromatic_number, graph_from_edges, induced_subgraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvenCurve:
     """An even-curve with its derived anatomy.
 
     The stored curve is canonically oriented so that it starts at the
     endpoint of `left`. 1-curves are stored degenerately with a single
-    basepoint, left == right == the curve, and no middle.
+    basepoint, left == right == the curve, and no middle. The library
+    builds every EvenCurve through _even, after the checks of
+    decompose_even_curve or make_one_curve.
     """
 
     curve: Polyline
@@ -72,6 +74,27 @@ class EvenCurve:
         if self.middle is None:             # a 1-curve: one polyline, both ends
             return (("LR", self.curve),)
         return (("L", self.left), ("M", self.middle), ("R", self.right))
+
+
+# Slot setters build checked even-curves without __init__ and its frozen
+# __setattr__ per field.
+_set_curve, _set_basepoints, _set_left, _set_middle, _set_right, _set_interval = (
+    EvenCurve.curve.__set__, EvenCurve.basepoints.__set__, EvenCurve.left.__set__,
+    EvenCurve.middle.__set__, EvenCurve.right.__set__, EvenCurve.interval.__set__)
+
+
+def _even(curve: Polyline, basepoints: tuple, left: Polyline, middle: Optional[Polyline],
+          right: Polyline, interval: tuple) -> EvenCurve:
+    """EvenCurve(curve, basepoints, left, middle, right, interval), whose
+    parts the caller has checked."""
+    m = object.__new__(EvenCurve)
+    _set_curve(m, curve)
+    _set_basepoints(m, basepoints)
+    _set_left(m, left)
+    _set_middle(m, middle)
+    _set_right(m, right)
+    _set_interval(m, interval)
+    return m
 
 
 def refine_at_crossings(c: Polyline) -> Polyline:
@@ -117,14 +140,9 @@ def _even_curve(pts: tuple, cross_idx: list, id: str) -> EvenCurve:
         pts = curve.points
         cross_idx = [len(pts) - 1 - i for i in reversed(cross_idx)]
     i1, i2 = cross_idx[0], cross_idx[-1]
-    return EvenCurve(
-        curve=curve,
-        basepoints=tuple(pts[i] for i in cross_idx),
-        left=_derived_polyline(pts[:i1 + 1], id),
-        middle=_derived_polyline(pts[i1:i2 + 1], id),
-        right=_derived_polyline(pts[i2:], id),
-        interval=(pts[i1].x, pts[i2].x),
-    )
+    return _even(curve, tuple([pts[i] for i in cross_idx]), _derived_polyline(pts[:i1 + 1], id),
+                 _derived_polyline(pts[i1:i2 + 1], id), _derived_polyline(pts[i2:], id),
+                 (pts[i1].x, pts[i2].x))
 
 
 def make_one_curve(c: Polyline) -> EvenCurve:
@@ -140,14 +158,7 @@ def make_one_curve(c: Polyline) -> EvenCurve:
             raise ContractError(f"1-curve {c.id!r} must stay strictly above the baseline")
     oriented = c.reversed() if on_start else c  # endpoint first, basepoint last
     bp = oriented.points[-1]
-    return EvenCurve(
-        curve=oriented,
-        basepoints=(bp,),
-        left=oriented,
-        middle=None,
-        right=oriented,
-        interval=(bp.x, bp.x),
-    )
+    return _even(oriented, (bp,), oriented, None, oriented, (bp.x, bp.x))
 
 
 class FamilyKind(enum.Enum):
@@ -179,9 +190,14 @@ class PairMapped:
 
 @dataclass(frozen=True)
 class CurveFamily(PairMapped):
+    """Members of one kind. Coordinates are in units of 1/scale, the scale
+    of the file they were loaded from; families derived from this one keep
+    it, and the file writer records it."""
+
     members: tuple
     kind: FamilyKind
     t: Optional[int] = None
+    scale: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -215,6 +231,8 @@ def _validate_kind(fam: CurveFamily) -> None:
         raise FamilyValidationError("TWO_T family needs t >= 1")
     if not two_t and t is not None:
         raise FamilyValidationError(f"a {kind.value} family takes no t, got t={t}")
+    if type(fam.scale) is not int or fam.scale < 1:
+        raise FamilyValidationError(f"scale must be a positive integer, got {fam.scale!r}")
     one, even, lr2 = (kind is FamilyKind.ONE_CURVE, kind in (FamilyKind.EVEN, FamilyKind.LR),
                       kind is FamilyKind.LR2)
     for m in fam.members:
@@ -325,7 +343,8 @@ def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None) -> 
     pairs with both ends in it, re-indexed by position. The re-indexing is
     monotone, so each map equals pair_points of the subfamily's members, in
     the same order.
-    kind and t are fam's, so _validate_kind cannot fail and is not rerun.
+    kind and t are fam's, so _validate_kind cannot fail and is not rerun;
+    each subfamily keeps fam's scale.
     """
     cell_of = [None] * len(fam.members)
     for c, group in enumerate(groups):
@@ -338,13 +357,14 @@ def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None) -> 
             maps[c][ki, kj] = hits
     cells = [object.__new__(CurveFamily) for _ in groups]
     for cell, group, pairs in zip(cells, groups, maps):     # pairs: the cached attribute's
-        vars(cell).update(members=tuple(m for _, m in group), kind=kind, t=t, pairs=pairs)
+        vars(cell).update(members=tuple(m for _, m in group), kind=kind, t=t, scale=fam.scale,
+                          pairs=pairs)
     return cells
 
 
-def _with_pairs(members: tuple, kind: FamilyKind, t, pairs: dict) -> CurveFamily:
+def _with_pairs(members: tuple, kind: FamilyKind, t, scale: int, pairs: dict) -> CurveFamily:
     """A family whose pair map is pairs, read off a parent family's map."""
-    fam = CurveFamily(members, kind, t)
+    fam = CurveFamily(members, kind, t, scale)
     fam.__dict__["pairs"] = pairs           # where the cached attribute keeps it
     return fam
 

@@ -29,7 +29,7 @@ from .families import (
     decompose_even_curve,
     make_one_curve,
 )
-from .geometry import MAX_COORD_MAGNITUDE, Polyline, _checked_polyline, _point
+from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline, _checked_polyline, _set_x, _set_y
 
 
 def dump_json(obj) -> str:
@@ -62,7 +62,8 @@ def _curve_id(row) -> str:
     return mid
 
 
-def _probe_from_json(row, what: str) -> Probe:
+def _check_probe_row(row, what: str) -> None:
+    """A probe row's checks: [x_lo, x_hi], two exact ints with x_lo < x_hi."""
     if not isinstance(row, list) or len(row) != 2:
         raise FileFormatError(f"{what} must be [x_lo, x_hi], got {row!r:.60}")
     lo, hi = row
@@ -71,22 +72,33 @@ def _probe_from_json(row, what: str) -> Probe:
         _check_int(lo, what)
         _check_int(hi, what)
         raise FileFormatError(f"{what} [{lo}, {hi}] needs x_lo < x_hi")
-    return _probe(lo, hi)
+
+
+def _probe_from_json(row, what: str) -> Probe:
+    _check_probe_row(row, what)
+    return _probe(*row)
 
 
 def _polyline_from_json(rows, what: str, id: str) -> Polyline:
     """The Polyline of a point list, each coordinate checked once, inline,
-    and its vertices by _checked_polyline."""
+    and its vertices by _checked_polyline. Each Point is built inline
+    through its slot setters."""
+    if type(rows) is not list:
+        _typed(rows, list, f"{what} points")
     pts = []
     m = MAX_COORD_MAGNITUDE
-    for row in _typed(rows, list, f"{what} points"):
+    new, set_x, set_y = object.__new__, _set_x, _set_y
+    for row in rows:
         if not (type(row) is list or isinstance(row, (list, tuple))) or len(row) != 2:
             raise FileFormatError(f"{what}: point must be [x, y], got {row!r}")
         x, y = row
         if not (type(x) is int and type(y) is int and -m <= x <= m and -m <= y <= m):
             _check_int(x, what)     # one of the two raises
             _check_int(y, what)
-        pts.append(_point(x, y))
+        p = new(Point)
+        set_x(p, x)
+        set_y(p, y)
+        pts.append(p)
     return _checked_polyline(tuple(pts), id)
 
 
@@ -115,25 +127,30 @@ def _integerizing_factor(polylines) -> int:
 
     Derived curves (retraction cuts, mid-edge crossings) carry exact
     rational vertices; files store integers in units of 1/scale, so the
-    writer rescales and records the factor in the scale header.
+    writer rescales and records the factor in the scale header. A
+    coordinate is an int or a non-whole Fraction, so only the latter have a
+    denominator to read.
     """
     factor = 1
     for poly in polylines:
         for p in poly.points:
-            for v in (p.x, p.y):
-                den = getattr(v, "denominator", 1)
-                factor = factor * den // math.gcd(factor, den)
+            x, y = p.x, p.y
+            if type(x) is not int:
+                factor = math.lcm(factor, x.denominator)
+            if type(y) is not int:
+                factor = math.lcm(factor, y.denominator)
     return factor
 
 
 def family_to_jsonable(fam: CurveFamily) -> dict:
+    """The family's file document. Its scale is the family's scale times
+    the factor that puts every coordinate on the integer grid."""
     factor = _integerizing_factor(m.curve for m in fam.members)
-    doc = {
-        "scale": factor,
-        "kind": fam.kind.value,
-        "curves": [{"id": m.id, "points": _points_to_json(m.curve, factor)}
-                   for m in fam.members],
-    }
+    curves = [{"id": m.id, "points": _points_to_json(m.curve, factor)} for m in fam.members]
+    scale = fam.scale * factor
+    if scale > MAX_COORD_MAGNITUDE:
+        raise FileFormatError(f"scale {scale} exceeds the 2**62 magnitude contract")
+    doc = {"scale": scale, "kind": fam.kind.value, "curves": curves}
     if fam.kind is FamilyKind.TWO_T:
         doc["t"] = fam.t
     return doc
@@ -156,7 +173,7 @@ def family_from_jsonable(doc: dict) -> CurveFamily:
         if "points" not in row:
             raise FileFormatError(f"curve {mid!r} misses points")
         members.append(member(_polyline_from_json(row["points"], f"curve {mid!r}", mid)))
-    return CurveFamily(tuple(members), kind, t)
+    return CurveFamily(tuple(members), kind, t, doc.get("scale", 1))
 
 
 def _node_to_jsonable(node: BurlingNode) -> dict:
@@ -234,8 +251,9 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
         lid, rid = f"{mid}.L", f"{mid}.R"
         members.append(_double_curve(mid, _polyline_from_json(parts[0], lid, lid),
                                      _polyline_from_json(parts[1], rid, rid)))
-    probes = tuple(_probe_from_json(row, "probe")
-                   for row in _typed(doc.get("probes", []), list, "probes"))
+    probe_rows = _typed(doc.get("probes", []), list, "probes")
+    for row in probe_rows:
+        _check_probe_row(row, "probe")
     burl = doc.get("burling")
     if not isinstance(burl, dict) or "tree" not in burl or "k" not in burl:
         raise FileFormatError("double-curve family needs a burling section")
@@ -244,9 +262,10 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
     if _typed(burl["k"], int, "burling k") != tree.level:
         raise FileFormatError(
             f"burling k = {burl['k']} disagrees with the tree level {tree.level}")
-    inst = BurlingInstance(burl["k"], tuple(members), probes, tree)
-    if tree.probes != probes:
+    probes = tree.probes
+    if probe_rows != [[p.x_lo, p.x_hi] for p in probes]:    # each row two checked ints
         raise FileFormatError("probes section disagrees with the recursion tree")
+    inst = BurlingInstance(burl["k"], tuple(members), probes, tree)
     curve_ids = [m.id for m in members]
     for what, ids in (("curve list", curve_ids), ("recursion tree", tree_ids)):
         if len(set(ids)) != len(ids):

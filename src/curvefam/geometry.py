@@ -86,11 +86,13 @@ class Point:
         return Point(self.x * factor, self.y * factor)
 
 
-# Slot setters build a Point of checked ints without __post_init__.
+# Slot setters build a Point of checked coordinates without __post_init__.
 _set_x, _set_y = Point.x.__set__, Point.y.__set__
 
 
-def _point(x: int, y: int) -> Point:
+def _point(x: Coord, y: Coord) -> Point:
+    """Point(x, y) for coordinates already checked and normalized: ints, or
+    the coordinates of existing points."""
     p = object.__new__(Point)
     _set_x(p, x)
     _set_y(p, y)
@@ -279,7 +281,9 @@ def validate_simple(poly: Polyline) -> None:
     cross product and one dot product of the edge vectors decide the pair,
     and the exact segment test runs only on the others whose boxes meet.
     The fold-backs are found from the vertices first, so a polyline of at
-    most two edges never builds its segment boxes.
+    most two edges builds no boxes. The box bounds live in four local lists:
+    the polyline's own segments and segment_boxes stay unbuilt until a
+    reader asks for them.
     """
     pts = poly.points
     n = len(pts) - 1
@@ -291,14 +295,30 @@ def validate_simple(poly: Polyline) -> None:
             fold = i
             break
     if n > 2:
-        boxes = poly.segment_boxes
+        x0, x1, y0, y1 = [], [], [], []     # edge i's box is x0[i]..x1[i], y0[i]..y1[i]
+        a = pts[0]
+        ax, ay = a.x, a.y
+        for b in pts[1:]:
+            bx, by = b.x, b.y
+            if ax < bx:
+                x0.append(ax)
+                x1.append(bx)
+            else:
+                x0.append(bx)
+                x1.append(ax)
+            if ay < by:
+                y0.append(ay)
+                y1.append(by)
+            else:
+                y0.append(by)
+                y1.append(ay)
+            ax, ay = bx, by
         for i in range(fold):
-            sx0, sx1, sy0, sy1, a1, a2 = boxes[i]
+            sx0, sx1, sy0, sy1 = x0[i], x1[i], y0[i], y1[i]
             for j in range(i + 2, n):
-                tx0, tx1, ty0, ty1, b1, b2 = boxes[j]
-                if sx1 < tx0 or tx1 < sx0 or sy1 < ty0 or ty1 < sy0:
+                if sx1 < x0[j] or x1[j] < sx0 or sy1 < y0[j] or y1[j] < sy0:
                     continue
-                rel, _ = segment_intersection(a1, a2, b1, b2)
+                rel, _ = segment_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
                 if rel is not _DISJOINT:
                     raise ContractError(
                         f"polyline {poly.id!r} self-intersects between edges {i} and {j}")

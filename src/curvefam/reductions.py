@@ -32,7 +32,7 @@ from .families import (
     make_one_curve,
     validate_lr,
 )
-from .geometry import Point, Polyline, _quotient, on_segment, polylines_disjoint
+from .geometry import Point, _checked_polyline, _point, _quotient, on_segment, polylines_disjoint
 from .graphcore import (
     Coloring,
     IntersectionGraph,
@@ -247,11 +247,10 @@ def rewire_semicircles(fam: CurveFamily) -> CurveFamily:
             raise ContractError(f"member {m.id!r} has no middle part to rewire")
         bl = m.left.points[-1]
         br = m.right.points[0]
-        dip = (Point(bl.x, -d), Point(br.x, -d))
-        pts = tuple(m.left.points) + dip + tuple(m.right.points)
-        rewired.append(decompose_even_curve(Polyline(pts, m.id)))
+        pts = m.left.points + (_point(bl.x, -d), _point(br.x, -d)) + m.right.points
+        rewired.append(decompose_even_curve(_checked_polyline(pts, m.id)))
 
-    out = CurveFamily(tuple(rewired), FamilyKind.LR2)
+    out = CurveFamily(tuple(rewired), FamilyKind.LR2, None, fam.scale)
     res = validate_lr(out)
     if not res.ok:
         raise ContractError(
@@ -371,9 +370,9 @@ def split_2t(fam: CurveFamily):
 
     if t == 1:
         return (_with_pairs(tuple(make_one_curve(m.left) for m in ms),
-                            FamilyKind.ONE_CURVE, None, pairs1),
+                            FamilyKind.ONE_CURVE, None, fam.scale, pairs1),
                 _with_pairs(tuple(make_one_curve(m.right) for m in ms),
-                            FamilyKind.ONE_CURVE, None, pairs2))
+                            FamilyKind.ONE_CURVE, None, fam.scale, pairs2))
     f1, f2 = [], []
     for m, cross_idx, hits in zip(ms, crossings, meets):
         # A cut point lies strictly inside an edge from a crossing to a
@@ -386,8 +385,8 @@ def split_2t(fam: CurveFamily):
         vj = cross_idx[1]                  # crossing p_2
         cut2 = _retracted_cut(pts[vj], pts[vj + 1], hits)
         f2.append(_even_curve((cut2,) + pts[vj + 1:], [i - vj for i in cross_idx[2:]], m.id))
-    return (_with_pairs(tuple(f1), FamilyKind.TWO_T, t - 1, pairs1),
-            _with_pairs(tuple(f2), FamilyKind.TWO_T, t - 1, pairs2))
+    return (_with_pairs(tuple(f1), FamilyKind.TWO_T, t - 1, fam.scale, pairs1),
+            _with_pairs(tuple(f2), FamilyKind.TWO_T, t - 1, fam.scale, pairs2))
 
 
 # Product coloring.

@@ -92,6 +92,67 @@ class TestFamilyFiles:
             familyfile.load(str(path))
 
 
+class TestScale:
+    """A family file's coordinates are in units of 1/scale: loading keeps
+    the scale, derived families inherit it, and the writer records it."""
+
+    @staticmethod
+    def _scaled_copy(tmp_path, fam, scale) -> tuple:
+        """Paths of fam's file and of the same integers at scale times its scale."""
+        plain, scaled = str(tmp_path / "plain.json"), str(tmp_path / "scaled.json")
+        familyfile.save(fam, plain)
+        doc = json.loads(open(plain).read())
+        doc["scale"] *= scale
+        with open(scaled, "w") as fh:
+            fh.write(familyfile.dump_json(doc))
+        return plain, scaled
+
+    @staticmethod
+    def _doc(path) -> dict:
+        return json.loads(open(path).read())
+
+    def test_round_trip_keeps_scale(self, tmp_path):
+        _, scaled = self._scaled_copy(tmp_path, lr_family(random.Random(3), max_members=8), 4)
+        fam = familyfile.load(scaled)
+        assert fam.scale == 4
+        again = str(tmp_path / "again.json")
+        familyfile.save(fam, again)
+        assert open(again, "rb").read() == open(scaled, "rb").read()
+
+    def test_rewire_keeps_scale(self, tmp_path):
+        plain, scaled = self._scaled_copy(tmp_path, lr_family(random.Random(13), max_members=10), 4)
+        for src, out in ((plain, "out1.json"), (scaled, "out4.json")):
+            assert main(["reduce", "rewire", "--family", src, "--out", str(tmp_path / out)]) == 0
+        doc1, doc4 = self._doc(tmp_path / "out1.json"), self._doc(tmp_path / "out4.json")
+        assert (doc1["scale"], doc4["scale"]) == (1, 4)
+        assert doc4["curves"] == doc1["curves"]
+
+    def test_split_2t_keeps_scale(self, tmp_path):
+        # the cut points are off the grid, so each half's scale is the
+        # input's times the half's own integerizing factor
+        fam = two_t_family(random.Random(9), max_members=6)
+        plain, scaled = self._scaled_copy(tmp_path, fam, 3)
+        for src, tag in ((plain, "1"), (scaled, "3")):
+            assert main(["reduce", "split-2t", "--family", src,
+                         "--out1", str(tmp_path / f"h1-{tag}.json"),
+                         "--out2", str(tmp_path / f"h2-{tag}.json")]) == 0
+        for half in ("h1", "h2"):
+            doc1, doc3 = self._doc(tmp_path / f"{half}-1.json"), self._doc(tmp_path / f"{half}-3.json")
+            assert doc1["scale"] > self._doc(plain)["scale"]
+            assert doc3["scale"] == 3 * doc1["scale"]
+            assert doc3["curves"] == doc1["curves"]
+            assert familyfile.load(str(tmp_path / f"{half}-3.json")).scale == doc3["scale"]
+
+    def test_scale_past_the_contract_not_written(self, tmp_path):
+        # a half's integerizing factor would take the scale past 2**62,
+        # though every coordinate stays within it
+        fam = familyfile.load(self._scaled_copy(
+            tmp_path, two_t_family(random.Random(9), max_members=6), 2**62)[1])
+        half, _ = reductions.split_2t(fam)
+        with pytest.raises(FileFormatError, match=r"^scale \d+ exceeds the 2\*\*62 magnitude"):
+            familyfile.save(half, str(tmp_path / "half.json"))
+
+
 def _drop_outer(doc):
     del doc["burling"]["tree"]["outer"]
 
@@ -281,6 +342,18 @@ def test_malformed_family_file(tmp_path, capsys, body):
     assert "FileFormatError" in capsys.readouterr().err
 
 
+def test_rewire_needs_a_curve_family(tmp_path, capsys):
+    # a double-curve file once reached rewire_semicircles and ended in an
+    # AttributeError traceback
+    path = str(tmp_path / "x2.json")
+    familyfile.save(generate(2), path)
+    out = str(tmp_path / "out.json")
+    assert main(["reduce", "rewire", "--family", path, "--out", out]) == 4
+    assert capsys.readouterr().err == (
+        "error: FileFormatError: reduce rewire needs an even-curve family file\n")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("t", [', "t": 0', ', "t": -1', ''], ids=["zero", "negative", "missing"])
 @pytest.mark.parametrize("argv", [
     ["reduce", "product-color", "--out", "out.json"],
@@ -467,6 +540,31 @@ class TestCertificateChecks:
         assert doc["palette"] == 3 and set(doc["colors"]) == set(g.labels)
         assert all(doc["colors"][g.labels[u]] != doc["colors"][g.labels[v]]
                    for u, v in g.edges())
+
+    @pytest.mark.parametrize("reduction, source, outs", [
+        ("rewire", "lr", ["--out", "rewired.json", "--trace", "rewire-trace.json"]),
+        ("split-2t", "tt", ["--out1", "half1.json", "--out2", "half2.json",
+                            "--trace", "split-trace.json"]),
+    ])
+    def test_reduce_under_optimize_flag(self, tmp_path, reduction, source, outs):
+        # the same exit code, stdout, stderr and written bytes with and without -O
+        fam = (lr_family(random.Random(29), max_members=20) if source == "lr"
+               else two_t_family(random.Random(27), max_members=12))
+        fam_path = str(tmp_path / f"{source}.json")
+        familyfile.save(fam, fam_path)
+        runs = []
+        for flags in ([], ["-O"]):
+            out_dir = tmp_path / ("opt" if flags else "plain")
+            out_dir.mkdir()
+            argv = [str(out_dir / a) if a.endswith(".json") else a for a in outs]
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "curvefam.cli", "reduce", reduction,
+                 "--family", fam_path, *argv],
+                env=_src_env(), capture_output=True, timeout=120)
+            files = {name: (out_dir / name).read_bytes() for name in outs if name.endswith(".json")}
+            runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert runs[0][0] == 0, runs[0][2]
+        assert runs[1] == runs[0]
 
     def test_no_assert_in_src(self):
         # python -O strips assert statements, and every check of the library

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,15 +10,18 @@ from curvefam.errors import (
     BelowBaselineIntersectionError,
     CertificateError,
     ContractError,
+    FamilyValidationError,
     ImproperCellColoring,
     IntervalCrossingError,
     PreconditionUnmet,
 )
 from curvefam.families import (
     CurveFamily,
+    EvenCurve,
     FamilyKind,
     _restricted_families,
     decompose_even_curve,
+    make_one_curve,
     member_intersections,
     pair_points,
     validate_lr,
@@ -610,3 +614,88 @@ class TestMcGuinness:
             # H is an induced subgraph: verify chi_h independently
             chi, _ = chromatic_number(res.h_graph)
             assert chi == res.chi_h
+
+
+class TestEvenCurveObjects:
+    """Every EvenCurve the library builds, through its slot setters, equals
+    field for field the one decompose_even_curve or make_one_curve gives
+    for the same points."""
+
+    @staticmethod
+    def _reference(m) -> EvenCurve:
+        curve = Polyline(m.curve.points, m.id)
+        return make_one_curve(curve) if m.is_one_curve else decompose_even_curve(curve)
+
+    def _check(self, fam) -> int:
+        for m in fam.members:
+            ref = self._reference(m)
+            assert type(m) is EvenCurve
+            for f in dataclasses.fields(EvenCurve):
+                mine, theirs = getattr(m, f.name), getattr(ref, f.name)
+                assert type(mine) is type(theirs) and mine == theirs, (m.id, f.name)
+            assert repr(m) == repr(ref)
+        return len(fam.members)
+
+    @staticmethod
+    def _loaded(tmp_path, fam, name):
+        path = str(tmp_path / f"{name}.json")
+        familyfile.save(fam, path)
+        return familyfile.load(path)
+
+    def _split_down(self, fam) -> int:
+        """Check fam and every family that splitting it toward 1-curves
+        gives (halves, quarters, ...); the number of members checked."""
+        n = self._check(fam)
+        if fam.kind is FamilyKind.TWO_T:
+            for half in split_2t(fam):
+                n += self._split_down(half)
+        return n
+
+    def test_frozen_hashable_without_dict(self):
+        m = two_curve("a", 0, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.interval = (0, 5)
+        assert not hasattr(m, "__dict__")
+        again = two_curve("a", 0, 4)
+        assert again == m and hash(again) == hash(m) and len({m, again}) == 1
+
+    def test_loaded_and_rewired_lr(self, tmp_path):
+        rng = random.Random(401)
+        for i in range(4):
+            fam = self._loaded(tmp_path, lr_family(rng, max_members=14), f"lr{i}")
+            assert self._check(fam) == len(fam)
+            assert self._check(rewire_semicircles(fam)) == len(fam)
+
+    @pytest.mark.parametrize("t, slanted", [(2, False), (2, True), (3, False), (3, True)])
+    def test_loaded_and_split_two_t(self, tmp_path, t, slanted):
+        rng = random.Random(403 + t)
+        for i in range(3):
+            made = two_t_family(rng, max_members=8, t=t, slanted=slanted)
+            fam = made if slanted else self._loaded(tmp_path, made, f"tt{i}")
+            # the family and its halves, quarters, ... down to the 1-curves
+            assert self._split_down(fam) == len(fam) * (2 ** (t + 1) - 1)
+
+    def test_loaded_even_family(self, tmp_path):
+        rng = random.Random(409)
+        for i in range(3):
+            made = two_t_family(rng, max_members=8)
+            fam = self._loaded(tmp_path, CurveFamily(made.members, FamilyKind.EVEN), f"ev{i}")
+            assert fam.kind is FamilyKind.EVEN and self._check(fam) == len(fam)
+
+
+def test_derived_families_keep_scale():
+    fam = CurveFamily(two_t_family(random.Random(9), max_members=6).members,
+                      FamilyKind.TWO_T, 2, 5)
+    halves = split_2t(fam)
+    quarters = [q for h in halves for q in split_2t(h)]
+    groups = [[(i, m) for i, m in enumerate(fam.members) if i % 2 == c] for c in range(2)]
+    cells = _restricted_families(fam, groups, fam.kind, fam.t)
+    lr = lr_family(random.Random(13), max_members=8)
+    rewired = rewire_semicircles(CurveFamily(lr.members, FamilyKind.LR2, None, 5))
+    assert [f.scale for f in (*halves, *quarters, *cells, rewired)] == [5] * 9
+
+
+@pytest.mark.parametrize("scale", [0, -2, True, 1.0])
+def test_scale_must_be_a_positive_int(scale):
+    with pytest.raises(FamilyValidationError, match="scale must be a positive integer"):
+        CurveFamily((two_curve("a", 0, 2),), FamilyKind.LR2, None, scale)
