@@ -27,8 +27,8 @@ from itertools import accumulate
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import CertificateError, ContractError, ImproperColoring
-from .geometry import (MAX_GENERATED_CURVES, Polyline, _checked_polyline, _point,
-                       polyline_meets_vstrip, polylines_disjoint, validate_simple)
+from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, polyline_meets_vstrip,
+                       polylines_disjoint, validate_simple)
 from .families import PairMapped, validate_lr
 from .graphcore import Coloring, find_triangle, is_proper
 
@@ -40,7 +40,7 @@ def expected_sizes(k: int):
     return n, p
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, unsafe_hash=True, slots=True)
 class Probe:
     """A vertical strip of the upper half-plane over [x_lo, x_hi]. The
     generator lays strips out with int ends at its layout scale, then
@@ -49,26 +49,30 @@ class Probe:
     x_lo: int
     x_hi: int
 
-    def __post_init__(self):
-        if self.x_lo >= self.x_hi:
+    def __init__(self, x_lo: int, x_hi: int):
+        if x_lo >= x_hi:
             raise ContractError("probe needs positive width")
+        self.x_lo = x_lo
+        self.x_hi = x_hi
 
     def as_pair(self):
         return (self.x_lo, self.x_hi)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, unsafe_hash=True, slots=True)
 class DoubleCurve:
     """Two disjoint 1-curves; the left is a vertical segment, the right an
-    L-shaped stem plus horizontal arm. The id records the recursion path.
-    Its checks are _check_double_curve's, which _double_curve makes once."""
+    L-shaped stem plus horizontal arm. The id records the recursion path."""
 
     id: str
     left: Polyline
     right: Polyline
 
-    def __post_init__(self):
-        _check_double_curve(self.id, self.left, self.right)
+    def __init__(self, id: str, left: Polyline, right: Polyline):
+        _check_double_curve(id, left, right)
+        self.id = id
+        self.left = left
+        self.right = right
 
     def polylines(self):
         return (self.left, self.right)
@@ -127,10 +131,14 @@ class BurlingNode(NamedTuple):
 
 @dataclass(frozen=True)
 class BurlingInstance(PairMapped):
+    """Coordinates are in units of 1/scale, the scale of the file the
+    instance was loaded from; the generator's ranks are at scale 1."""
+
     k: int
     members: tuple
     probes: tuple
     tree: BurlingNode
+    scale: int = 1
 
 
 def _check_double_curve(id: str, left: Polyline, right: Polyline) -> None:
@@ -148,30 +156,6 @@ def _check_double_curve(id: str, left: Polyline, right: Polyline) -> None:
         raise ContractError(f"{id!r}: left basepoint must precede the right one")
     if not polylines_disjoint(left, right):
         raise ContractError(f"{id!r}: the two 1-curves must be disjoint")
-
-
-# Slot setters build the generator's and the loader's checked objects
-# without __init__ and its frozen __setattr__ per field.
-_set_lo, _set_hi = Probe.x_lo.__set__, Probe.x_hi.__set__
-_set_id, _set_left, _set_right = DoubleCurve.id.__set__, DoubleCurve.left.__set__, \
-    DoubleCurve.right.__set__
-
-
-def _probe(lo: int, hi: int) -> Probe:
-    probe = object.__new__(Probe)
-    _set_lo(probe, lo)
-    _set_hi(probe, hi)
-    return probe
-
-
-def _double_curve(id: str, left: Polyline, right: Polyline) -> DoubleCurve:
-    """DoubleCurve(id, left, right), its checks made once."""
-    _check_double_curve(id, left, right)
-    m = object.__new__(DoubleCurve)
-    _set_id(m, id)
-    _set_left(m, left)
-    _set_right(m, right)
-    return m
 
 
 # Construction-time integer layout.
@@ -216,18 +200,18 @@ def _map_node(node: BurlingNode, prefix: str, f) -> BurlingNode:
     f is increasing, so each probe keeps x_lo < x_hi."""
     if node.level == 1:
         p = node.probe
-        return BurlingNode(1, prefix + node.member_id, _probe(f(p.x_lo), f(p.x_hi)))
+        return BurlingNode(1, prefix + node.member_id, Probe(f(p.x_lo), f(p.x_hi)))
     return BurlingNode(node.level, None, None, _map_node(node.outer, prefix, f),
                        tuple(_map_node(ch, prefix, f) for ch in node.inner),
-                       tuple(tuple(Gadget(prefix + g.x_id, _probe(f(g.a.x_lo), f(g.a.x_hi)),
-                                          _probe(f(g.b.x_lo), f(g.b.x_hi))) for g in row)
+                       tuple(tuple(Gadget(prefix + g.x_id, Probe(f(g.a.x_lo), f(g.a.x_hi)),
+                                          Probe(f(g.b.x_lo), f(g.b.x_hi))) for g in row)
                              for row in node.gadgets))
 
 
 def _base() -> _RInst:
     """Level 1 in eighths of the unit box (scale 2**3)."""
     m = _RMember("x", lx=1, ltop=4, rx=3, rh=2, rend=7)
-    return _RInst((m,), BurlingNode(1, "x", _probe(4, 6)))
+    return _RInst((m,), BurlingNode(1, "x", Probe(4, 6)))
 
 
 def _crossing_arms(inst: _RInst, lo: int, hi: int) -> list:
@@ -296,8 +280,8 @@ def _step(inst: _RInst) -> _RInst:
             gid = f"g{i}.{j}"
             members.append(_RMember(gid, l_x, l_top, s0 + slot_1, arm_h, s0 + slot_7))
             # w > 0 and slot > 0, so both probes have positive width
-            row.append(Gadget(gid, _probe(c + _div(w, 4), c + _div(w, 2)),
-                              _probe(s0 + slot_3, s0 + slot_5)))
+            row.append(Gadget(gid, Probe(c + _div(w, 4), c + _div(w, 2)),
+                              Probe(s0 + slot_3, s0 + slot_5)))
         gadget_rows.append(tuple(row))
 
     tree = BurlingNode(level + 1, None, None, _map_node(inst.tree, "o.", lambda x: x * up),
@@ -358,10 +342,9 @@ def generate(k: int) -> BurlingInstance:
         for m in inst.members:
             lx, rx, rend = rank_x(m.lx), rank_x(m.rx), rank_x(m.rend)
             ltop, rh = rank_y(m.ltop), rank_y(m.rh)
-            left = _checked_polyline((_point(lx, 0), _point(lx, ltop)), f"{m.id}.L")
-            right = _checked_polyline((_point(rx, 0), _point(rx, rh), _point(rend, rh)),
-                                      f"{m.id}.R")
-            members.append(_double_curve(m.id, left, right))
+            left = Polyline((Point(lx, 0), Point(lx, ltop)), f"{m.id}.L")
+            right = Polyline((Point(rx, 0), Point(rx, rh), Point(rend, rh)), f"{m.id}.R")
+            members.append(DoubleCurve(m.id, left, right))
         tree = _map_node(inst.tree, "", rank_x)
 
     probes = tree.probes

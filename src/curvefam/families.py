@@ -28,7 +28,6 @@ from .geometry import (
     _OVERLAP,
     _POINT,
     _crossing_scan,
-    _derived_polyline,
     cached_attribute,
     segment_intersection,
     segments_intersect,
@@ -62,10 +61,6 @@ class EvenCurve:
     @property
     def n_crossings(self) -> int:
         return len(self.basepoints)
-
-    @property
-    def is_one_curve(self) -> bool:
-        return len(self.basepoints) == 1
 
     def polylines(self) -> tuple:
         return (self.curve,)
@@ -104,7 +99,7 @@ def refine_at_crossings(c: Polyline) -> Polyline:
     refined curve can exceed the vertex cap, which raises ContractError.
     """
     pts, _ = _crossing_scan(c)
-    return _derived_polyline(pts, c.id)
+    return Polyline(pts, c.id)
 
 
 def decompose_even_curve(c: Polyline) -> EvenCurve:
@@ -125,11 +120,11 @@ def decompose_even_curve(c: Polyline) -> EvenCurve:
 def _even_curve(pts: tuple, cross_idx: list, id: str) -> EvenCurve:
     """The EvenCurve of a refined curve given its interior crossing indices.
 
-    pts must be derived from a validated polyline (see _derived_polyline)
-    with no tangency or baseline edge, and cross_idx must list every
-    interior vertex on the baseline, in order.
+    pts must be the points of a simple curve with no tangency or baseline
+    edge, possibly cut short and with crossings inserted as vertices, and
+    cross_idx must list every interior vertex on the baseline, in order.
     """
-    curve = _derived_polyline(pts, id)      # the cap check, which a refinement can fail
+    curve = Polyline(pts, id)
     if not cross_idx or pts[0].y == 0 or pts[-1].y == 0:
         raise OddCrossingError(f"curve {id!r} is not an even-curve")
     if len(cross_idx) % 2 != 0:
@@ -140,9 +135,8 @@ def _even_curve(pts: tuple, cross_idx: list, id: str) -> EvenCurve:
         pts = curve.points
         cross_idx = [len(pts) - 1 - i for i in reversed(cross_idx)]
     i1, i2 = cross_idx[0], cross_idx[-1]
-    return _even(curve, tuple([pts[i] for i in cross_idx]), _derived_polyline(pts[:i1 + 1], id),
-                 _derived_polyline(pts[i1:i2 + 1], id), _derived_polyline(pts[i2:], id),
-                 (pts[i1].x, pts[i2].x))
+    return _even(curve, tuple([pts[i] for i in cross_idx]), Polyline(pts[:i1 + 1], id),
+                 Polyline(pts[i1:i2 + 1], id), Polyline(pts[i2:], id), (pts[i1].x, pts[i2].x))
 
 
 def make_one_curve(c: Polyline) -> EvenCurve:
@@ -334,7 +328,7 @@ def pair_points(members) -> dict:
     return out
 
 
-def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None) -> list:
+def _restricted_families(fam: CurveFamily, groups) -> list:
     """Subfamilies of fam whose pair maps are read off fam's, in one pass.
 
     The groups partition fam: groups[c] lists the members of subfamily c as
@@ -342,9 +336,7 @@ def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None) -> 
     depend on the other members, so subfamily c keeps the hits of fam's
     pairs with both ends in it, re-indexed by position. The re-indexing is
     monotone, so each map equals pair_points of the subfamily's members, in
-    the same order.
-    kind and t are fam's, so _validate_kind cannot fail and is not rerun;
-    each subfamily keeps fam's scale.
+    the same order. Each subfamily keeps fam's kind, t and scale.
     """
     cell_of = [None] * len(fam.members)
     for c, group in enumerate(groups):
@@ -355,11 +347,8 @@ def _restricted_families(fam: CurveFamily, groups, kind: FamilyKind, t=None) -> 
         (c, ki), (d, kj) = cell_of[i], cell_of[j]
         if c == d:
             maps[c][ki, kj] = hits
-    cells = [object.__new__(CurveFamily) for _ in groups]
-    for cell, group, pairs in zip(cells, groups, maps):     # pairs: the cached attribute's
-        vars(cell).update(members=tuple(m for _, m in group), kind=kind, t=t, scale=fam.scale,
-                          pairs=pairs)
-    return cells
+    return [_with_pairs(tuple(m for _, m in group), fam.kind, fam.t, fam.scale, pairs)
+            for group, pairs in zip(groups, maps)]
 
 
 def _with_pairs(members: tuple, kind: FamilyKind, t, scale: int, pairs: dict) -> CurveFamily:

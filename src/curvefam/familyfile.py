@@ -20,8 +20,7 @@ import math
 from collections import Counter
 from typing import Union
 
-from .burling import (BurlingInstance, BurlingNode, Gadget, Probe, _cyclic_gc_paused,
-                      _double_curve, _probe)
+from .burling import BurlingInstance, BurlingNode, DoubleCurve, Gadget, Probe, _cyclic_gc_paused
 from .errors import FileFormatError
 from .families import (
     CurveFamily,
@@ -29,7 +28,7 @@ from .families import (
     decompose_even_curve,
     make_one_curve,
 )
-from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline, _checked_polyline, _set_x, _set_y
+from .geometry import MAX_COORD_MAGNITUDE, Point, Polyline
 
 
 def dump_json(obj) -> str:
@@ -76,18 +75,17 @@ def _check_probe_row(row, what: str) -> None:
 
 def _probe_from_json(row, what: str) -> Probe:
     _check_probe_row(row, what)
-    return _probe(*row)
+    return Probe(*row)
 
 
 def _polyline_from_json(rows, what: str, id: str) -> Polyline:
-    """The Polyline of a point list, each coordinate checked once, inline,
-    and its vertices by _checked_polyline. Each Point is built inline
-    through its slot setters."""
+    """The Polyline of a point list: each coordinate is checked inline to be
+    an exact int of the 2**62 magnitude contract, then Point and Polyline
+    make their own checks."""
     if type(rows) is not list:
         _typed(rows, list, f"{what} points")
     pts = []
     m = MAX_COORD_MAGNITUDE
-    new, set_x, set_y = object.__new__, _set_x, _set_y
     for row in rows:
         if not (type(row) is list or isinstance(row, (list, tuple))) or len(row) != 2:
             raise FileFormatError(f"{what}: point must be [x, y], got {row!r}")
@@ -95,11 +93,8 @@ def _polyline_from_json(rows, what: str, id: str) -> Polyline:
         if not (type(x) is int and type(y) is int and -m <= x <= m and -m <= y <= m):
             _check_int(x, what)     # one of the two raises
             _check_int(y, what)
-        p = new(Point)
-        set_x(p, x)
-        set_y(p, y)
-        pts.append(p)
-    return _checked_polyline(tuple(pts), id)
+        pts.append(Point(x, y))
+    return Polyline(tuple(pts), id)
 
 
 def _points_to_json(poly: Polyline, factor: int = 1):
@@ -231,7 +226,7 @@ def _node_from_jsonable(doc, ids: list) -> BurlingNode:
 
 def burling_to_jsonable(inst: BurlingInstance) -> dict:
     return {
-        "scale": 1,
+        "scale": inst.scale,
         "kind": "double",
         "curves": [{"id": m.id,
                     "parts": [_points_to_json(m.left), _points_to_json(m.right)]}
@@ -249,8 +244,8 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
         if not isinstance(parts, list) or len(parts) != 2:
             raise FileFormatError(f"double-curve {mid!r} needs parts [L, R]")
         lid, rid = f"{mid}.L", f"{mid}.R"
-        members.append(_double_curve(mid, _polyline_from_json(parts[0], lid, lid),
-                                     _polyline_from_json(parts[1], rid, rid)))
+        members.append(DoubleCurve(mid, _polyline_from_json(parts[0], lid, lid),
+                                   _polyline_from_json(parts[1], rid, rid)))
     probe_rows = _typed(doc.get("probes", []), list, "probes")
     for row in probe_rows:
         _check_probe_row(row, "probe")
@@ -265,7 +260,7 @@ def burling_from_jsonable(doc: dict) -> BurlingInstance:
     probes = tree.probes
     if probe_rows != [[p.x_lo, p.x_hi] for p in probes]:    # each row two checked ints
         raise FileFormatError("probes section disagrees with the recursion tree")
-    inst = BurlingInstance(burl["k"], tuple(members), probes, tree)
+    inst = BurlingInstance(burl["k"], tuple(members), probes, tree, doc.get("scale", 1))
     curve_ids = [m.id for m in members]
     for what, ids in (("curve list", curve_ids), ("recursion tree", tree_ids)):
         if len(set(ids)) != len(ids):

@@ -58,45 +58,32 @@ class cached_attribute(cached_property):
         return value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, unsafe_hash=True, slots=True)
 class Point:
     """A point with exact coordinates. y = 0 is the baseline."""
 
     x: Coord
     y: Coord
 
-    def __post_init__(self):
-        x, y = self.x, self.y
-        if type(x) is int and type(y) is int:
-            return
-        if not is_exact(x) or not is_exact(y):
-            raise TypeError(f"coordinates must be int or Fraction, got {x!r}, {y!r}")
-        # Whole numbers are stored as ints, so every point that is integral
-        # keeps the predicates on int arithmetic. Equality and hashing are
-        # unchanged: Fraction(5, 1) == 5 and both hash alike.
-        if type(x) is not int and x.denominator == 1:
-            object.__setattr__(self, "x", x.numerator)
-        if type(y) is not int and y.denominator == 1:
-            object.__setattr__(self, "y", y.numerator)
+    def __init__(self, x: Coord, y: Coord):
+        if type(x) is not int or type(y) is not int:
+            if not is_exact(x) or not is_exact(y):
+                raise TypeError(f"coordinates must be int or Fraction, got {x!r}, {y!r}")
+            # Whole numbers are stored as ints, so every point that is integral
+            # keeps the predicates on int arithmetic. Equality and hashing are
+            # unchanged: Fraction(5, 1) == 5 and both hash alike.
+            if type(x) is not int and x.denominator == 1:
+                x = x.numerator
+            if type(y) is not int and y.denominator == 1:
+                y = y.numerator
+        self.x = x
+        self.y = y
 
     def __iter__(self):
         return iter((self.x, self.y))
 
     def scaled(self, factor: int) -> "Point":
         return Point(self.x * factor, self.y * factor)
-
-
-# Slot setters build a Point of checked coordinates without __post_init__.
-_set_x, _set_y = Point.x.__set__, Point.y.__set__
-
-
-def _point(x: Coord, y: Coord) -> Point:
-    """Point(x, y) for coordinates already checked and normalized: ints, or
-    the coordinates of existing points."""
-    p = object.__new__(Point)
-    _set_x(p, x)
-    _set_y(p, y)
-    return p
 
 
 def _quotient(n: Coord, d: Coord) -> Coord:
@@ -160,7 +147,7 @@ def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
         den = c1 - c2                       # = qy * px - qx * py
         x, y = ax * den + c1 * px, ay * den + c1 * py
         if type(x) is int and type(y) is int and x % den == 0 and y % den == 0:
-            return _POINT, _point(x // den, y // den)     # ints: Point's test is moot
+            return _POINT, Point(x // den, y // den)
         return _POINT, Point(_quotient(x, den), _quotient(y, den))
 
     if not (c1 or c2 or c3 or c4):
@@ -189,17 +176,26 @@ def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
     return _NO_MEETING
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True)
 class Polyline:
-    """A simple open polyline with exact vertices and an opaque id."""
+    """A simple open polyline with exact vertices and an opaque id. Not
+    slotted: the cached attributes live in its __dict__."""
 
     points: tuple
     id: str = ""
 
-    def __post_init__(self):
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        _check_vertices(pts, self.id)
+    def __init__(self, points, id: str = ""):
+        if type(points) is not tuple:
+            points = tuple(points)
+        if len(points) < 2:
+            raise ContractError(f"polyline {id!r} needs at least 2 points")
+        if len(points) > MAX_POLYLINE_VERTICES:
+            raise ContractError(f"polyline {id!r} exceeds the {MAX_POLYLINE_VERTICES}-vertex cap")
+        for a, b in zip(points, points[1:]):
+            if a.x == b.x and a.y == b.y:       # not the generated __eq__: cheaper
+                raise ContractError(f"polyline {id!r} repeats vertex {a}")
+        self.points = points
+        self.id = id
 
     @cached_attribute
     def segments(self):
@@ -228,45 +224,10 @@ class Polyline:
         return (x0, y0, x1, y1)
 
     def reversed(self) -> "Polyline":
-        # Reversal keeps the length and which vertices are adjacent.
-        return _derived_polyline(self.points[::-1], self.id)
+        return Polyline(self.points[::-1], self.id)
 
     def scaled(self, factor: int) -> "Polyline":
         return Polyline(tuple(p.scaled(factor) for p in self.points), self.id)
-
-
-def _derived_polyline(points: tuple, id: str) -> Polyline:
-    """A Polyline of points derived from an already-validated polyline.
-
-    The points are consecutive vertices of that polyline, in either
-    direction, with at most crossing or cut points inserted strictly inside
-    its edges, so they number at least 2 and no two adjacent ones are equal;
-    only the vertex cap is checked again, since insertions can exceed it.
-    """
-    if len(points) > MAX_POLYLINE_VERTICES:
-        raise ContractError(f"polyline {id!r} exceeds the {MAX_POLYLINE_VERTICES}-vertex cap")
-    poly = object.__new__(Polyline)
-    poly.__dict__.update(points=points, id=id)     # bypasses the frozen __setattr__
-    return poly
-
-
-def _check_vertices(points: tuple, id: str) -> None:
-    """Polyline's checks: 2 vertices to the cap, none equal to the next."""
-    if len(points) < 2:
-        raise ContractError(f"polyline {id!r} needs at least 2 points")
-    if len(points) > MAX_POLYLINE_VERTICES:
-        raise ContractError(f"polyline {id!r} exceeds the {MAX_POLYLINE_VERTICES}-vertex cap")
-    for a, b in zip(points, points[1:]):
-        if a.x == b.x and a.y == b.y:           # not the generated __eq__: cheaper
-            raise ContractError(f"polyline {id!r} repeats vertex {a}")
-
-
-def _checked_polyline(points: tuple, id: str) -> Polyline:
-    """Polyline(points, id), checked once, without __post_init__."""
-    _check_vertices(points, id)
-    poly = object.__new__(Polyline)
-    poly.__dict__.update(points=points, id=id)
-    return poly
 
 
 _xy = operator.attrgetter("x", "y")

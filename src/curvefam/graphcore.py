@@ -88,9 +88,6 @@ class IntersectionGraph:
         if len(self.labels) != self.n:
             raise ContractError("labels must match vertex count")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

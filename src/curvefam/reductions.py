@@ -32,7 +32,7 @@ from .families import (
     make_one_curve,
     validate_lr,
 )
-from .geometry import Point, _checked_polyline, _point, _quotient, on_segment, polylines_disjoint
+from .geometry import Point, Polyline, _quotient, on_segment, polylines_disjoint
 from .graphcore import (
     Coloring,
     IntersectionGraph,
@@ -247,8 +247,8 @@ def rewire_semicircles(fam: CurveFamily) -> CurveFamily:
             raise ContractError(f"member {m.id!r} has no middle part to rewire")
         bl = m.left.points[-1]
         br = m.right.points[0]
-        pts = m.left.points + (_point(bl.x, -d), _point(br.x, -d)) + m.right.points
-        rewired.append(decompose_even_curve(_checked_polyline(pts, m.id)))
+        pts = m.left.points + (Point(bl.x, -d), Point(br.x, -d)) + m.right.points
+        rewired.append(decompose_even_curve(Polyline(pts, m.id)))
 
     out = CurveFamily(tuple(rewired), FamilyKind.LR2, None, fam.scale)
     res = validate_lr(out)
@@ -434,8 +434,7 @@ def product_color(fam: CurveFamily, phi1: dict, phi2: dict,
     for i, m in enumerate(fam.members):
         cells_by_key.setdefault((phi1[m.id], phi2[m.id]), []).append((i, m))
     keys = sorted(cells_by_key)
-    cell_fams = _restricted_families(fam, [cells_by_key[key] for key in keys],
-                                     fam.kind, fam.t)
+    cell_fams = _restricted_families(fam, [cells_by_key[key] for key in keys])
 
     records = []
     combined: dict = {}

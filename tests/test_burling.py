@@ -122,11 +122,8 @@ class TestGenerate:
         assert made == [(1, 2)]
 
     def test_generator_checks_each_double_curve_once(self, monkeypatch):
-        # ranks are ints and probe ends keep their order, so the generator
-        # builds points, probes and parts without their constructors' checks
-        # and checks each member once, through the loader's builder
-        for cls in (P, Probe, Polyline, DoubleCurve):
-            monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("checked twice"))
+        # the generator builds each member through DoubleCurve, whose one
+        # constructor runs the double-curve checks once
         checked = []
         real = burling._check_double_curve
         monkeypatch.setattr(burling, "_check_double_curve",

@@ -11,7 +11,7 @@ import pytest
 
 import curvefam
 from curvefam import burling, cli, families, familyfile, geometry, graphcore, reductions
-from curvefam.burling import Probe, generate
+from curvefam.burling import generate
 from curvefam.cli import main
 from curvefam.errors import ContractError, FileFormatError
 from curvefam.families import CurveFamily, FamilyKind, decompose_even_curve
@@ -403,20 +403,6 @@ def test_malformed_coloring_file(tmp_path, capsys, doc):
     assert "FileFormatError" in capsys.readouterr().err
 
 
-def test_loader_checks_each_coordinate_once(tmp_path, monkeypatch):
-    # the loader tests every coordinate, probe end and part itself, so
-    # Point, Probe and Polyline are built without their constructors' checks
-    path = str(tmp_path / "x3.json")
-    familyfile.save(generate(3), path)
-    one_curve = str(tmp_path / "one.json")
-    with open(one_curve, "w") as fh:
-        fh.write(familyfile.dump_json(_one_curve_doc()))
-    for cls in (P, Probe, Polyline):
-        monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("checked twice"))
-    assert len(familyfile.load(path).members) == 13
-    assert len(familyfile.load(one_curve).members) == 1
-
-
 def _counting(monkeypatch, module, name) -> list:
     """Replace module.name by a wrapper that records each call's first argument."""
     calls, real = [], getattr(module, name)
@@ -430,12 +416,10 @@ def _counting(monkeypatch, module, name) -> list:
 
 
 def test_loader_checks_each_double_curve_once(tmp_path, monkeypatch):
-    # the loader runs the shared double-curve check once per member and
-    # builds the member without DoubleCurve.__post_init__
+    # the loader builds each member through DoubleCurve, whose constructor
+    # runs the double-curve check once per member, one simplicity check per part
     path = str(tmp_path / "x4.json")
     familyfile.save(generate(4), path)
-    monkeypatch.setattr(burling.DoubleCurve, "__post_init__",
-                        lambda self: pytest.fail("double-curve checked twice"))
     checked = _counting(monkeypatch, burling, "_check_double_curve")
     simple = _counting(monkeypatch, burling, "validate_simple")
     inst = familyfile.load(path)
@@ -451,6 +435,18 @@ def test_loaded_graph_built_without_recheck(tmp_path, monkeypatch):
                         lambda self: pytest.fail("family graph re-checked"))
     g = familyfile.load(path).graph()
     assert (g.n, g.m) == (181, 323)
+
+
+def test_double_curve_file_keeps_its_scale(tmp_path):
+    doc = familyfile.burling_to_jsonable(generate(2))
+    assert doc["scale"] == 1
+    doc["scale"] = 4
+    path, back = tmp_path / "x2.json", tmp_path / "back.json"
+    path.write_text(familyfile.dump_json(doc))
+    inst = familyfile.load(str(path))
+    assert inst.scale == 4
+    familyfile.save(inst, str(back))
+    assert back.read_text() == familyfile.dump_json(doc)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -575,6 +571,32 @@ class TestCertificateChecks:
                  if isinstance(node, ast.Assert)]
         if found:
             pytest.fail(f"assert statements in {src}: {', '.join(found)}")
+
+    def test_no_constructor_bypass_in_src(self):
+        # each value type has one constructor, which runs all its checks;
+        # object.__new__ and a captured slot setter (X.field.__set__) build
+        # an object without it. Only families._even (EvenCurve) and
+        # graphcore._prechecked_graph (IntersectionGraph) may use them
+        allowed = {("families.py", "EvenCurve"), ("graphcore.py", "IntersectionGraph")}
+        src = pathlib.Path(curvefam.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if node.attr == "__new__" and getattr(node.value, "id", None) == "object":
+                    call = calls.get(id(node))      # None where object.__new__ is aliased
+                    built = call.args[0] if call and call.args else None
+                elif node.attr == "__set__" and isinstance(node.value, ast.Attribute):
+                    built = node.value.value
+                else:
+                    continue
+                if (path.name, getattr(built, "id", None)) not in allowed:
+                    found.append(f"{path.name}:{node.lineno}")
+        if found:
+            pytest.fail(f"constructor bypasses in {src}: {', '.join(found)}")
 
     def test_no_unused_import_in_src(self):
         # a module-level import that nothing in its module reads; a name in

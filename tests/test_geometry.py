@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvefam.burling import DoubleCurve, Probe
 from curvefam.errors import (
     CollinearError,
     ContractError,
@@ -431,3 +432,36 @@ class TestIntFirstKernel:
         assert P(Fraction(5, 1), 0) == P(5, 0) and hash(P(Fraction(5, 1), 0)) == hash(P(5, 0))
         half = P(Fraction(2 * x + 1, 2), y)
         assert type(half.x) is Fraction
+
+
+_VERTS = (P(0, 1), P(0, 3), P(2, 3))
+
+
+def _level_one_member():
+    return DoubleCurve("x", Polyline((P(1, 0), P(1, 4)), "x.L"),
+                       Polyline((P(3, 0), P(3, 2), P(7, 2)), "x.R"))
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: hash(P(2, 3)), hash((2, 3))),
+    (lambda: repr(P(1, Fraction(1, 2))), "Point(x=1, y=Fraction(1, 2))"),
+    (lambda: [hasattr(v, "__dict__") for v in (P(1, 2), Probe(1, 2), _level_one_member())],
+     [False, False, False]),
+    (lambda: (Polyline(list(_VERTS), "a") == Polyline(_VERTS, "a"),
+              Polyline(_VERTS, "a") == Polyline(_VERTS, "b"),
+              Polyline(_VERTS[:2], "a") == Polyline(_VERTS[:2] + (P(5, 5),), "a")),
+     (True, False, False)),
+    (lambda: hash(Polyline(list(_VERTS), "a")), hash((_VERTS, "a"))),
+    (lambda: P(1.5, 0), TypeError),
+    (lambda: P(True, 0), TypeError),
+    (lambda: Probe(3, 3), ContractError),
+], ids=["point-hash", "point-repr", "no-instance-dict", "polyline-eq", "polyline-hash",
+        "float-coordinate", "bool-coordinate", "zero-width-probe"])
+def test_value_semantics(make, want):
+    # each value type has one checking constructor and keeps the generated
+    # repr, field-wise __eq__ and field-tuple __hash__
+    if isinstance(want, type) and issubclass(want, Exception):
+        with pytest.raises(want):
+            make()
+    else:
+        assert make() == want

@@ -526,15 +526,14 @@ class TestRestrictedPairMaps:
             labels = [rng.randrange(3) for _ in fam.members]
             groups = [[(i, m) for i, m in enumerate(fam.members) if labels[i] == c]
                       for c in range(3)]
-            subs = _restricted_families(fam, groups, fam.kind, fam.t)
+            subs = _restricted_families(fam, groups)
             assert [len(s) for s in subs] == [len(g) for g in groups]
             for sub in subs:
                 assert _same_map(sub)
 
-    def test_cells_skip_kind_check_halves_keep_it(self, monkeypatch):
-        # a cell is a subset of a validated family of the same kind, so it is
-        # built without _validate_kind; split_2t's halves hold new cut
-        # curves, and each is still checked
+    def test_cells_and_halves_run_kind_check(self, monkeypatch):
+        # every family is built through CurveFamily, so split_2t's halves
+        # and each restricted cell run _validate_kind once
         fam = two_t_family(random.Random(311), max_members=16)
         checked = []
         real = families._validate_kind
@@ -544,8 +543,8 @@ class TestRestrictedPairMaps:
         assert len(checked) == 2 and all(c is h for c, h in zip(checked, halves))
         checked.clear()
         groups = [[(i, m) for i, m in enumerate(fam.members) if i % 3 == c] for c in range(3)]
-        subs = _restricted_families(fam, groups, fam.kind, fam.t)
-        assert checked == []
+        subs = _restricted_families(fam, groups)
+        assert len(checked) == 3 and all(c is s for c, s in zip(checked, subs))
         for sub, group in zip(subs, groups):
             assert (sub.members, sub.kind, sub.t) == (tuple(m for _, m in group), fam.kind, fam.t)
             assert _same_map(sub)
@@ -624,7 +623,7 @@ class TestEvenCurveObjects:
     @staticmethod
     def _reference(m) -> EvenCurve:
         curve = Polyline(m.curve.points, m.id)
-        return make_one_curve(curve) if m.is_one_curve else decompose_even_curve(curve)
+        return make_one_curve(curve) if len(m.basepoints) == 1 else decompose_even_curve(curve)
 
     def _check(self, fam) -> int:
         for m in fam.members:
@@ -689,7 +688,7 @@ def test_derived_families_keep_scale():
     halves = split_2t(fam)
     quarters = [q for h in halves for q in split_2t(h)]
     groups = [[(i, m) for i, m in enumerate(fam.members) if i % 2 == c] for c in range(2)]
-    cells = _restricted_families(fam, groups, fam.kind, fam.t)
+    cells = _restricted_families(fam, groups)
     lr = lr_family(random.Random(13), max_members=8)
     rewired = rewire_semicircles(CurveFamily(lr.members, FamilyKind.LR2, None, 5))
     assert [f.scale for f in (*halves, *quarters, *cells, rewired)] == [5] * 9
