@@ -324,11 +324,12 @@ def generate(k: int) -> BurlingInstance:
     k >= 6 has, raises ContractError before any member is built."""
     if k < 1:
         raise ContractError("k must be at least 1")
-    n_exp, p_exp = expected_sizes(k)
-    if n_exp > MAX_GENERATED_CURVES:
-        raise ContractError(
-            f"level {k} has {n_exp} double-curves, beyond the "
-            f"{MAX_GENERATED_CURVES} the generator builds")
+    for level in range(1, k + 1):       # stops at the first level past the cap
+        n_exp, p_exp = expected_sizes(level)
+        if n_exp > MAX_GENERATED_CURVES:
+            raise ContractError(
+                f"level {k} has {'' if level == k else 'more than '}{n_exp} double-curves, "
+                f"beyond the {MAX_GENERATED_CURVES} the generator builds")
 
     with _cyclic_gc_paused():
         inst = _base()

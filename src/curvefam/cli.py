@@ -61,8 +61,12 @@ def _load_graph(args: argparse.Namespace):
         return familyfile.load(args.family).graph()
     if args.graph is None:
         raise FileFormatError("reduce mcguinness needs --family or --graph")
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    try:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{args.graph}: not UTF-8 text ({exc})") from None
+    return parse_edge_list(text)
 
 
 def _load_coloring(path: str) -> dict:

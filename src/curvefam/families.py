@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     ContractError,
@@ -38,21 +38,17 @@ from .graphcore import _bits, chromatic_number, graph_from_edges, induced_subgra
 
 @dataclass(frozen=True, slots=True)
 class EvenCurve:
-    """An even-curve with its derived anatomy.
+    """An even-curve: its refined curve and the indices in curve.points of
+    its baseline crossings, in order along the curve.
 
-    The stored curve is canonically oriented so that it starts at the
-    endpoint of `left`. 1-curves are stored degenerately with a single
-    basepoint, left == right == the curve, and no middle. The library
-    builds every EvenCurve through _even, after the checks of
-    decompose_even_curve or make_one_curve.
+    The curve is canonically oriented so that it starts at the endpoint of
+    `left`. A 1-curve has one crossing, its last point; its left and right
+    are the whole curve, and it has no middle. The library builds every
+    EvenCurve after the checks of decompose_even_curve or make_one_curve.
     """
 
     curve: Polyline
-    basepoints: tuple        # along the curve; first/last are the end basepoints
-    left: Polyline           # from an endpoint to its basepoint
-    middle: Optional[Polyline]
-    right: Polyline          # from its basepoint to the other endpoint
-    interval: tuple          # (x_left, x_right) on the baseline
+    cross: tuple
 
     @property
     def id(self) -> str:
@@ -60,36 +56,44 @@ class EvenCurve:
 
     @property
     def n_crossings(self) -> int:
-        return len(self.basepoints)
+        return len(self.cross)
+
+    @property
+    def basepoints(self) -> tuple:
+        """The crossings along the curve; the first and last are the end basepoints."""
+        pts = self.curve.points
+        return tuple([pts[i] for i in self.cross])
+
+    @property
+    def interval(self) -> tuple:
+        """(x_left, x_right) on the baseline."""
+        pts = self.curve.points
+        return pts[self.cross[0]].x, pts[self.cross[-1]].x
+
+    @property
+    def left(self) -> Polyline:
+        """From an endpoint to its basepoint."""
+        return Polyline(self.curve.points[:self.cross[0] + 1], self.curve.id)
+
+    @property
+    def middle(self) -> Optional[Polyline]:
+        """From the left basepoint to the right one; None on a 1-curve."""
+        i, j = self.cross[0], self.cross[-1]
+        return Polyline(self.curve.points[i:j + 1], self.curve.id) if i < j else None
+
+    @property
+    def right(self) -> Polyline:
+        """From its basepoint to the other endpoint; all of a 1-curve."""
+        i, j = self.cross[0], self.cross[-1]
+        return Polyline(self.curve.points[j:], self.curve.id) if i < j else self.curve
 
     def polylines(self) -> tuple:
         return (self.curve,)
 
     def parts(self) -> tuple:
-        if self.middle is None:             # a 1-curve: one polyline, both ends
+        if len(self.cross) == 1:            # a 1-curve: one polyline, both ends
             return (("LR", self.curve),)
         return (("L", self.left), ("M", self.middle), ("R", self.right))
-
-
-# Slot setters build checked even-curves without __init__ and its frozen
-# __setattr__ per field.
-_set_curve, _set_basepoints, _set_left, _set_middle, _set_right, _set_interval = (
-    EvenCurve.curve.__set__, EvenCurve.basepoints.__set__, EvenCurve.left.__set__,
-    EvenCurve.middle.__set__, EvenCurve.right.__set__, EvenCurve.interval.__set__)
-
-
-def _even(curve: Polyline, basepoints: tuple, left: Polyline, middle: Optional[Polyline],
-          right: Polyline, interval: tuple) -> EvenCurve:
-    """EvenCurve(curve, basepoints, left, middle, right, interval), whose
-    parts the caller has checked."""
-    m = object.__new__(EvenCurve)
-    _set_curve(m, curve)
-    _set_basepoints(m, basepoints)
-    _set_left(m, left)
-    _set_middle(m, middle)
-    _set_right(m, right)
-    _set_interval(m, interval)
-    return m
 
 
 def refine_at_crossings(c: Polyline) -> Polyline:
@@ -117,7 +121,7 @@ def decompose_even_curve(c: Polyline) -> EvenCurve:
     return _even_curve(pts, cross_idx, c.id)
 
 
-def _even_curve(pts: tuple, cross_idx: list, id: str) -> EvenCurve:
+def _even_curve(pts: tuple, cross_idx: Sequence[int], id: str) -> EvenCurve:
     """The EvenCurve of a refined curve given its interior crossing indices.
 
     pts must be the points of a simple curve with no tangency or baseline
@@ -132,11 +136,8 @@ def _even_curve(pts: tuple, cross_idx: list, id: str) -> EvenCurve:
 
     if pts[cross_idx[0]].x > pts[cross_idx[-1]].x:
         curve = curve.reversed()
-        pts = curve.points
         cross_idx = [len(pts) - 1 - i for i in reversed(cross_idx)]
-    i1, i2 = cross_idx[0], cross_idx[-1]
-    return _even(curve, tuple([pts[i] for i in cross_idx]), Polyline(pts[:i1 + 1], id),
-                 Polyline(pts[i1:i2 + 1], id), Polyline(pts[i2:], id), (pts[i1].x, pts[i2].x))
+    return EvenCurve(curve, tuple(cross_idx))
 
 
 def make_one_curve(c: Polyline) -> EvenCurve:
@@ -151,8 +152,7 @@ def make_one_curve(c: Polyline) -> EvenCurve:
         if p.y <= 0:
             raise ContractError(f"1-curve {c.id!r} must stay strictly above the baseline")
     oriented = c.reversed() if on_start else c  # endpoint first, basepoint last
-    bp = oriented.points[-1]
-    return _even(oriented, (bp,), oriented, None, oriented, (bp.x, bp.x))
+    return EvenCurve(oriented, (len(pts) - 1,))
 
 
 class FamilyKind(enum.Enum):

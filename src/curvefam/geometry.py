@@ -519,15 +519,13 @@ def segment_meets_vstrip(a: Point, b: Point, lo: Coord, hi: Coord) -> bool:
         return max(a.y, b.y) >= 0
     if a.y == b.y:
         return a.y >= 0
-    # Clip the parameter range to the strip and test the maximum of linear y.
-    t0 = Fraction(lo - a.x, b.x - a.x)
-    t1 = Fraction(hi - a.x, b.x - a.x)
-    t0, t1 = min(t0, t1), max(t0, t1)
-    t0 = max(t0, Fraction(0))
-    t1 = min(t1, Fraction(1))
-    y0 = a.y + t0 * (b.y - a.y)
-    y1 = a.y + t1 * (b.y - a.y)
-    return max(y0, y1) >= 0
+    # Clip the x-range to the strip; linear y is highest at one end of it,
+    # and y(x) * dx = a.y * dx + (x - a.x) * dy with dx > 0 once a is left.
+    if a.x > b.x:
+        a, b = b, a
+    dx, dy = b.x - a.x, b.y - a.y
+    x = (hi if hi < b.x else b.x) if dy > 0 else (lo if lo > a.x else a.x)
+    return a.y * dx + (x - a.x) * dy >= 0
 
 
 def polyline_meets_vstrip(poly: Polyline, lo: Coord, hi: Coord) -> bool:

@@ -243,12 +243,11 @@ def rewire_semicircles(fam: CurveFamily) -> CurveFamily:
         raise IntervalCrossingError(*_crossing_pair(fam.members))
     rewired = []
     for m, d in zip(fam.members, heights):
-        if m.middle is None:
+        if m.n_crossings == 1:
             raise ContractError(f"member {m.id!r} has no middle part to rewire")
-        bl = m.left.points[-1]
-        br = m.right.points[0]
-        pts = m.left.points + (Point(bl.x, -d), Point(br.x, -d)) + m.right.points
-        rewired.append(decompose_even_curve(Polyline(pts, m.id)))
+        pts, i1, i2 = m.curve.points, m.cross[0], m.cross[-1]
+        dip = (Point(pts[i1].x, -d), Point(pts[i2].x, -d))
+        rewired.append(decompose_even_curve(Polyline(pts[:i1 + 1] + dip + pts[i2:], m.id)))
 
     out = CurveFamily(tuple(rewired), FamilyKind.LR2, None, fam.scale)
     res = validate_lr(out)
@@ -278,8 +277,8 @@ def _retracted_cut(c: Point, f: Point, points: Sequence[Point]) -> Point:
     return Point(_quotient(c.x + near.x, 2), _quotient(c.y + near.y, 2))
 
 
-def _half_labels(pts: tuple, cross_idx: list, t: int) -> tuple:
-    """A member's labels on the two halves of a split, as a table
+def _half_labels(m, t: int) -> tuple:
+    """Member m's labels on the two halves of a split, as a table
     {parent label: (label on half 1, label on half 2)} and the pair (half
     1's label of arch 2t-2, half 2's label of arch 2); "" is off the half.
 
@@ -291,15 +290,17 @@ def _half_labels(pts: tuple, cross_idx: list, t: int) -> tuple:
     """
     if t == 1:
         return {"L": ("LR", ""), "M": None, "R": ("", "LR")}, ("LR", "LR")
+    pts, cross_idx = m.curve.points, m.cross
     first, hi = ("R", "L") if pts[cross_idx[0]].x > pts[cross_idx[2 * t - 3]].x else ("L", "R")
     lo, last = ("R", "L") if pts[cross_idx[2]].x > pts[cross_idx[-1]].x else ("L", "R")
     return ({"L": (first, ""), "M": (hi, lo) if t == 2 else None, "R": ("", last)},
             (hi, lo))
 
 
-def _middle_labels(p: Point, pts: tuple, cross_idx: list, ends: tuple) -> tuple:
-    """The half labels of a parent "M" hit p, from an exact test against
-    the edges of arch 2 and of arch 2t-2 (ends, from _half_labels)."""
+def _middle_labels(p: Point, m, ends: tuple) -> tuple:
+    """The half labels of a parent "M" hit p on member m, from an exact test
+    against the edges of arch 2 and of arch 2t-2 (ends, from _half_labels)."""
+    pts, cross_idx = m.curve.points, m.cross
     for (start, end), on in (((cross_idx[1], cross_idx[2]), ("M", ends[1])),
                               ((cross_idx[-3], cross_idx[-2]), (ends[0], "M"))):
         if any(on_segment(p, pts[k], pts[k + 1]) for k in range(start, end)):
@@ -338,27 +339,20 @@ def split_2t(fam: CurveFamily):
         raise ContractError("split_2t needs a TWO_T(t) family")
     t = fam.t
     ms = fam.members
-    crossings, labels, ends = [], [], []
-    for m in ms:
-        pts = m.curve.points
-        cross_idx = [i for i in range(1, len(pts) - 1) if pts[i].y == 0]
-        table, end_labels = _half_labels(pts, cross_idx, t)
-        crossings.append(cross_idx)
-        labels.append(table)
-        ends.append(end_labels)
+    labels = [_half_labels(m, t) for m in ms]      # (label table, end labels) per member
 
     meets = [[] for _ in ms]             # points where other members meet member i
     pairs1, pairs2 = {}, {}
     for (i, j), hits in fam.pairs.items():
-        li, lj, meets_i, meets_j = labels[i], labels[j], meets[i], meets[j]
+        (li, ei), (lj, ej), meets_i, meets_j = labels[i], labels[j], meets[i], meets[j]
         kept1, kept2 = [], []
         for p, on_i, on_j in hits:
             if p.y < 0:
                 raise BelowBaselineIntersectionError(ms[i].id, ms[j].id, p)
             meets_i.append(p)
             meets_j.append(p)
-            a1, a2 = li[on_i] or _middle_labels(p, ms[i].curve.points, crossings[i], ends[i])
-            b1, b2 = lj[on_j] or _middle_labels(p, ms[j].curve.points, crossings[j], ends[j])
+            a1, a2 = li[on_i] or _middle_labels(p, ms[i], ei)
+            b1, b2 = lj[on_j] or _middle_labels(p, ms[j], ej)
             if a1 and b1:
                 kept1.append((p, a1, b1))
             if a2 and b2:
@@ -374,11 +368,11 @@ def split_2t(fam: CurveFamily):
                 _with_pairs(tuple(make_one_curve(m.right) for m in ms),
                             FamilyKind.ONE_CURVE, None, fam.scale, pairs2))
     f1, f2 = [], []
-    for m, cross_idx, hits in zip(ms, crossings, meets):
+    for m, hits in zip(ms, meets):
         # A cut point lies strictly inside an edge from a crossing to a
         # vertex above the baseline, so it is above the baseline too, and a
         # piece's crossings are the member's crossings that it contains.
-        pts = m.curve.points
+        pts, cross_idx = m.curve.points, m.cross
         vi = cross_idx[2 * t - 2]          # crossing p_(2t-1)
         cut1 = _retracted_cut(pts[vi], pts[vi - 1], hits)
         f1.append(_even_curve(pts[:vi] + (cut1,), cross_idx[:2 * t - 2], m.id))

@@ -11,13 +11,13 @@ feed them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
 
 from curvefam.errors import CollinearError, ContractError, OddCrossingError, TangencyError
-from curvefam.families import EvenCurve
 from curvefam.geometry import Point, Polyline, validate_simple
 
 
@@ -288,12 +288,18 @@ def decide_one_at_a_time(adj, c: int, clique):
     return None, nodes, cut_rounds
 
 
-def decompose_by_passes(c):
+# The anatomy of an even-curve as decompose_by_passes derives it, in a plain
+# record rather than the library's EvenCurve, whose parts are derived views.
+DecomposedCurve = namedtuple("DecomposedCurve", "curve basepoints parts interval")
+
+
+def decompose_by_passes(c) -> DecomposedCurve:
     """decompose_even_curve as it was before its single crossing scan: check
     c is simple, scan its baseline contacts, insert the crossings, scan the
-    refined curve again for its baseline vertices, and build the curve and
-    its three parts as fully validated Polylines. The crossing rules are
-    written out here again, apart from the library's scan."""
+    refined curve again for its baseline vertices, and build the curve, its
+    basepoints, its three parts and its interval, each by itself. The
+    crossing rules are written out here again, apart from the library's
+    scan."""
     validate_simple(c)
     pts = c.points
     n = len(pts)
@@ -332,12 +338,11 @@ def decompose_by_passes(c):
         pts = curve.points
         cross_idx = [len(pts) - 1 - i for i in reversed(cross_idx)]
     i1, i2 = cross_idx[0], cross_idx[-1]
-    return EvenCurve(
+    return DecomposedCurve(
         curve=curve,
         basepoints=tuple(pts[i] for i in cross_idx),
-        left=Polyline(pts[:i1 + 1], c.id),
-        middle=Polyline(pts[i1:i2 + 1], c.id),
-        right=Polyline(pts[i2:], c.id),
+        parts=(("L", Polyline(pts[:i1 + 1], c.id)), ("M", Polyline(pts[i1:i2 + 1], c.id)),
+               ("R", Polyline(pts[i2:], c.id))),
         interval=(pts[i1].x, pts[i2].x),
     )
 
@@ -371,3 +376,24 @@ def nesting_levels_by_pairs(fam) -> dict:
                  if o.id in level and lo < o.interval[0] and o.interval[1] < hi]
         level[m.id] = 1 + max(inner, default=0)
     return level
+
+
+def segment_meets_vstrip_by_fractions(a, b, lo, hi) -> bool:
+    """geometry.segment_meets_vstrip as it was before its integer sign test:
+    clip the segment's parameter range to the strip with Fractions and test
+    the larger of the two ends' y values."""
+    xmin, xmax = min(a.x, b.x), max(a.x, b.x)
+    if xmax < lo or xmin > hi:
+        return False
+    if a.x == b.x:
+        return max(a.y, b.y) >= 0
+    if a.y == b.y:
+        return a.y >= 0
+    t0 = Fraction(lo - a.x, b.x - a.x)
+    t1 = Fraction(hi - a.x, b.x - a.x)
+    t0, t1 = min(t0, t1), max(t0, t1)
+    t0 = max(t0, Fraction(0))
+    t1 = min(t1, Fraction(1))
+    y0 = a.y + t0 * (b.y - a.y)
+    y1 = a.y + t1 * (b.y - a.y)
+    return max(y0, y1) >= 0

@@ -21,6 +21,7 @@ from curvefam.burling import (
     strip_hits,
     verify_properties,
 )
+from curvefam.cli import main
 from curvefam.errors import CertificateError, ContractError, ImproperColoring
 from curvefam.families import validate_lr
 from curvefam.geometry import Point as P, Polyline, polyline_meets_vstrip
@@ -75,15 +76,18 @@ class TestGenerate:
         assert {(on_i, on_j) for hits in pairs.values()
                 for _, on_i, on_j in hits} <= {("L", "R"), ("R", "L")}
 
-    def test_cap_and_hard_cap(self):
+    def test_cap_and_hard_cap(self, tmp_path, capsys):
         # every k >= 6 has too many double-curves to build (X_6 has
-        # 2,375,752,501) and fails on its size alone; k < 1 is a contract
-        # error too
-        for k in (6, 7):
+        # 2,375,752,501) and fails on its size alone, without computing the
+        # size of a level past the first beyond the cap (X_15's has more
+        # than 4,300 digits); k < 1 is a contract error too
+        for k in (6, 7, 15, 64):
             start = time.perf_counter()
             with pytest.raises(ContractError, match=f"level {k} has "):
                 generate(k)
+            assert main(["gen-burling", "--k", str(k), "--out", str(tmp_path / "x.json")]) == 2
             assert time.perf_counter() - start < 0.5
+            assert f"ContractError: level {k} has " in capsys.readouterr().err
         with pytest.raises(ContractError):
             generate(0)
 

@@ -16,6 +16,7 @@ from curvefam.errors import (
 )
 from curvefam.families import (
     CurveFamily,
+    EvenCurve,
     FamilyKind,
     decompose_even_curve,
     make_one_curve,
@@ -45,7 +46,9 @@ def _outcome(decompose, c):
         ec = decompose(c)
     except CurvefamError as e:
         return type(e), str(e)
-    return ec.curve, ec.basepoints, ec.parts(), ec.interval
+    if isinstance(ec, EvenCurve):           # the oracle gives a plain record
+        ec = (ec.curve, ec.basepoints, ec.parts(), ec.interval)
+    return tuple(ec)
 
 
 def _coords(limit):

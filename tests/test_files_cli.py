@@ -575,9 +575,9 @@ class TestCertificateChecks:
     def test_no_constructor_bypass_in_src(self):
         # each value type has one constructor, which runs all its checks;
         # object.__new__ and a captured slot setter (X.field.__set__) build
-        # an object without it. Only families._even (EvenCurve) and
-        # graphcore._prechecked_graph (IntersectionGraph) may use them
-        allowed = {("families.py", "EvenCurve"), ("graphcore.py", "IntersectionGraph")}
+        # an object without it. Only graphcore._prechecked_graph
+        # (IntersectionGraph) may use them
+        allowed = {("graphcore.py", "IntersectionGraph")}
         src = pathlib.Path(curvefam.__file__).parent
         found = []
         for path in sorted(src.glob("*.py")):
@@ -817,6 +817,18 @@ class TestCli:
         path.write_text(body)
         assert main(["color", "--exact", "--graph", str(path)]) == 4
         assert "FileFormatError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["omega"], ["color", "--exact"],
+                                      ["reduce", "mcguinness", "--out", "-"]])
+    def test_edge_list_not_utf8(self, tmp_path, capsys, argv):
+        # one byte that starts no UTF-8 sequence once ended in an uncaught
+        # UnicodeDecodeError
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff")
+        assert main([*argv, "--graph", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: FileFormatError: {path}: not UTF-8 text (")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("body", ["3 2\n0 1\n1 0\n", "3 3\n0 1\n1 2\n0 1\n"])
     def test_repeated_edge_row(self, tmp_path, capsys, body):

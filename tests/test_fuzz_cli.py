@@ -1,11 +1,15 @@
-"""A bounded fuzz test of the CLI on family files.
+"""A bounded fuzz test of the CLI on family files, edge-list files and
+node-budget values.
 
-Each example takes a small LR, 2t or X_2 family document, changes one or
-two of its fields (a new value, a value copied from elsewhere in the
+Each family example takes a small LR, 2t or X_2 family document, changes
+one or two of its fields (a new value, a value copied from elsewhere in the
 document, or a deleted field), and runs every subcommand that reads a
-family file on it. Every run must end in exit 0, 2, 3 or 4; an uncaught
-exception fails the test. The 300 examples are derandomized, so a run is
-repeatable; they take about 2 s on a 2-vCPU host.
+family file on it. Each edge-list example changes the lines, tokens or
+bytes of a small valid edge list and runs every subcommand that reads one.
+Each budget example sets CURVEFAM_NODE_BUDGET and runs the solver
+subcommands on the valid edge list. Every run must end in exit 0, 2, 3 or
+4; an uncaught exception fails the test. The examples are derandomized, so
+a run is repeatable; the three tests take about 4 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 from curvefam import familyfile
 from curvefam.burling import generate
 from curvefam.cli import main
+from curvefam.geometry import MAX_GENERATED_CURVES
 from generators import lr_family, two_t_family
 
 
@@ -106,4 +111,92 @@ def test_mutated_family_files_exit_cleanly(tmp_path, capsys, case):
         argv = [a.format(f=path, d=tmp_path) for a in command]
         code = main(["--node-budget", "20000", *argv])
         assert code in (0, 2, 3, 4), (argv, code)
+    capsys.readouterr()
+
+
+# The wheel W_5 (hub 5): chi 4, omega 3.
+_EDGE_LIST = (b"6 10", b"0 1", b"1 2", b"2 3", b"3 4", b"0 4",
+              b"0 5", b"1 5", b"2 5", b"3 5", b"4 5")
+
+_TOKENS = st.one_of(
+    st.integers(-3, 12).map(lambda v: str(v).encode()),
+    st.sampled_from([b"", b"x", b"1.5", b"0x1", b"1e3", b"nan", b"#", b"-0", b"+3",
+                     "\uff11".encode(), b"\xff", b"\xc3(", b"\xed\xa0\x80", b"9" * 5000,
+                     str(2**62).encode(), str(-2**63).encode(),
+                     str(MAX_GENERATED_CURVES + 1).encode()]))
+
+
+@st.composite
+def _mutated_edge_list(draw) -> bytes:
+    """The edge list with one to three of its lines, tokens or bytes changed."""
+    lines = [line.split() for line in _EDGE_LIST]
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["set", "add", "drop", "drop line", "copy line",
+                                    "new line", "swap lines", "bytes"]))
+        i = draw(st.integers(0, len(lines) - 1)) if lines else None
+        if i is None or how == "new line":
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.lists(_TOKENS, min_size=1, max_size=3)))
+        elif how == "drop line":
+            del lines[i]
+        elif how == "copy line":
+            lines.insert(draw(st.integers(0, len(lines))), list(lines[i]))
+        elif how == "swap lines":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif how == "add":
+            lines[i].insert(draw(st.integers(0, len(lines[i]))), draw(_TOKENS))
+        elif lines[i] and how in ("set", "drop"):
+            k = draw(st.integers(0, len(lines[i]) - 1))
+            if how == "set":
+                lines[i][k] = draw(_TOKENS)
+            else:
+                del lines[i][k]
+        elif how == "bytes":                    # bytes spliced into a token or a gap
+            lines[i].append(draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\r",
+                                                  b"\t", b"\x0b", b"\xe2\x80\xa8"])))
+            lines[i] = [b"".join(lines[i])] if draw(st.booleans()) else lines[i]
+    return b"\n".join(b" ".join(line) for line in lines) + b"\n"
+
+
+# Every subcommand that reads an edge list, in both colouring modes.
+_GRAPH_COMMANDS = (
+    ["omega", "--graph", "{f}", "--export-graph", "{d}/graph.txt"],
+    ["color", "--exact", "--graph", "{f}", "--out", "{d}/color.json"],
+    ["color", "--greedy", "--seed", "3", "--graph", "{f}", "--out", "{d}/greedy.json"],
+    ["reduce", "mcguinness", "--graph", "{f}", "--out", "{d}/trace.json"],
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_mutated_edge_list())
+def test_mutated_edge_lists_exit_cleanly(tmp_path, capsys, body):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(body)
+    for command in _GRAPH_COMMANDS:
+        argv = [a.format(f=path, d=tmp_path) for a in command]
+        code = main(["--node-budget", "20000", *argv])
+        assert code in (0, 2, 3, 4), (argv, code)
+    capsys.readouterr()
+
+
+_BUDGETS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", " ", "x", "1.5", "1e3", "0x10", "20000", " 20000 ", "+7", "-0",
+                     "1_000", "\uff11\uff12", "\t5\n", "nan", "9" * 5000, str(2**62),
+                     str(-2**63)]))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_BUDGETS)
+def test_node_budget_values_exit_cleanly(tmp_path, capsys, monkeypatch, raw):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"\n".join(_EDGE_LIST) + b"\n")
+    monkeypatch.setenv("CURVEFAM_NODE_BUDGET", raw)
+    for command in _GRAPH_COMMANDS:
+        argv = [a.format(f=path, d=tmp_path) for a in command]
+        code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, raw, code)
     capsys.readouterr()

@@ -25,11 +25,17 @@ from curvefam.geometry import (
     polyline_meets_vstrip,
     polylines_disjoint,
     region_of,
+    segment_meets_vstrip,
     segments_intersect,
     subcurve,
     validate_simple,
 )
-from oracles import collinear_overlap, region_oracle, segments_touch_oracle
+from oracles import (
+    collinear_overlap,
+    region_oracle,
+    segment_meets_vstrip_by_fractions,
+    segments_touch_oracle,
+)
 
 COORD = st.integers(min_value=0, max_value=10)
 
@@ -314,6 +320,22 @@ class TestStrip:
         dip5 = dip.scaled(5)
         assert not polyline_meets_vstrip(dip5, 9, 11)
         assert polyline_meets_vstrip(dip5, 0, 3)
+
+    @staticmethod
+    @st.composite
+    def _segment_and_strip(draw):
+        """A segment and a strip, in ints or Fractions; lo == hi is common."""
+        coord = st.integers(-6, 6) | st.builds(Fraction, st.integers(-24, 24),
+                                               st.sampled_from([2, 3, 4]))
+        a, b = P(draw(coord), draw(coord)), P(draw(coord), draw(coord))
+        lo = draw(coord)
+        hi = draw(st.just(lo) | coord)
+        return a, b, min(lo, hi), max(lo, hi)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_segment_and_strip())
+    def test_segment_test_against_fraction_clipping(self, case):
+        assert segment_meets_vstrip(*case) == segment_meets_vstrip_by_fractions(*case)
 
 
 def test_orientation_signs():

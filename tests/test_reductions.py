@@ -616,9 +616,9 @@ class TestMcGuinness:
 
 
 class TestEvenCurveObjects:
-    """Every EvenCurve the library builds, through its slot setters, equals
-    field for field the one decompose_even_curve or make_one_curve gives
-    for the same points."""
+    """Every EvenCurve the library builds equals field for field, and in its
+    derived basepoints, interval and parts, the one decompose_even_curve or
+    make_one_curve gives for the same points."""
 
     @staticmethod
     def _reference(m) -> EvenCurve:
@@ -633,6 +633,9 @@ class TestEvenCurveObjects:
                 mine, theirs = getattr(m, f.name), getattr(ref, f.name)
                 assert type(mine) is type(theirs) and mine == theirs, (m.id, f.name)
             assert repr(m) == repr(ref)
+            for view in ("basepoints", "interval"):
+                assert repr(getattr(m, view)) == repr(getattr(ref, view)), (m.id, view)
+            assert repr(m.parts()) == repr(ref.parts()), m.id
         return len(fam.members)
 
     @staticmethod
@@ -652,8 +655,9 @@ class TestEvenCurveObjects:
 
     def test_frozen_hashable_without_dict(self):
         m = two_curve("a", 0, 4)
+        assert [f.name for f in dataclasses.fields(EvenCurve)] == ["curve", "cross"]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            m.interval = (0, 5)
+            m.cross = (1, 2)
         assert not hasattr(m, "__dict__")
         again = two_curve("a", 0, 4)
         assert again == m and hash(again) == hash(m) and len({m, again}) == 1
