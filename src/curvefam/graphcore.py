@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -270,23 +269,47 @@ def find_triangle(G: IntersectionGraph):
 # Exact chromatic number: kernelized DSATUR branch and bound.
 
 def _kernelize(G: IntersectionGraph, c: int):
-    """Iteratively strip vertices of degree < c; they are always colorable.
+    """Iteratively strip the vertices that every c-coloring of the rest
+    extends to: those of degree < c, and those dominated by another vertex,
+    one adjacent to every neighbour of theirs. A dominator is not itself a
+    neighbour, so its color is free for the vertex it dominates. Degrees and
+    neighbourhoods count unremoved vertices only.
 
     Returns (core vertex list, removal stack in removal order): the order of
     passes over the live vertices by increasing index, each removing every
-    vertex of degree < c it reaches; a heap of (pass, vertex), O(m log n).
+    vertex that is removable when the pass reaches it, until a pass removes
+    none. Only a neighbour's removal makes a vertex removable, so a pass
+    tests just the vertices that lost a neighbour since their last test:
+    todo holds those still ahead in the pass, later those behind it. Each
+    test ANDs the vertex's neighbours' rows and stops once only the vertex
+    is left, so it costs O(degree) row operations.
     """
-    deg = [a.bit_count() for a in G.adj]    # unremoved neighbours: c - 1 once
-    due = [(0, v) for v in range(G.n) if deg[v] < c]       # sorted: a heap
+    adj = G.adj
+    live = todo = (1 << G.n) - 1
+    later = 0
     removed = []
-    while due:
-        p, v = heappop(due)
+    while todo or later:
+        if not todo:                        # the next pass
+            todo, later = later, 0
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        row = adj[v] & live
+        if row.bit_count() >= c:            # c >= 1, so row has a highest bit
+            u = row.bit_length() - 1
+            common, rest = adj[u] & live, row ^ (1 << u)    # v is in each such row
+            while rest and common != low:
+                u = rest.bit_length() - 1
+                common &= adj[u]
+                rest ^= 1 << u
+            if common == low:
+                continue                    # no dominator: v stays
+        live ^= low
         removed.append(v)
-        for u in _bits(G.adj[v]):
-            deg[u] -= 1
-            if deg[u] == c - 1:
-                heappush(due, (p + (u < v), u))     # behind v: the next pass
-    return [v for v in range(G.n) if deg[v] >= c], removed
+        above = row >> v << v               # row lacks v itself
+        todo |= above
+        later |= row ^ above
+    return list(_bits(live)), removed
 
 
 def chromatic_decision(G: IntersectionGraph, c: int, budget=None, *,
@@ -294,11 +317,16 @@ def chromatic_decision(G: IntersectionGraph, c: int, budget=None, *,
     """Exhaustively decide whether G is c-colorable.
 
     Returns a witness Coloring using at most c colors, or None after an
-    exhaustive refutation. Degree-< c vertices are stripped first and
-    recolored greedily afterwards, which preserves the decision; a core
-    that keeps every vertex is G itself, searched without a copy. clique,
-    if given, must be maximum_clique(G); such a core then starts from it
-    instead of searching for it again.
+    exhaustive refutation. Vertices of degree < c, and vertices whose
+    neighbours are all adjacent to one other vertex, are stripped first
+    (_kernelize) and recolored first-fit in reverse afterwards, which
+    preserves the decision: a stripped vertex sees fewer than c colors, or
+    its dominator is recolored before it and the dominator's color is free
+    for it. A core that keeps every vertex is G itself, searched without a
+    copy. clique, if given, must be maximum_clique(G); such a core then
+    starts from it instead of searching for it again. The witness is checked
+    before it is returned: ImproperColoring names a monochromatic edge, and
+    CertificateError a witness with more than c colors.
     """
     budget = _as_budget(budget)
     if c < 0:
@@ -321,7 +349,13 @@ def chromatic_decision(G: IntersectionGraph, c: int, budget=None, *,
             return None
         for i, v in enumerate(mapping):
             colors[v] = sub_colors[i]
-    return Coloring(tuple(_first_fit(G.adj, colors, reversed(removed))))
+    w = Coloring(tuple(_first_fit(G.adj, colors, reversed(removed))))
+    ok, edge = is_proper(G, w)
+    if not ok:
+        raise ImproperColoring((G.labels[edge[0]], G.labels[edge[1]]))
+    if w.num_colors > c:
+        raise CertificateError(f"witness for chi <= {c} uses {w.num_colors} colors")
+    return w
 
 
 def _add_to_count(slices: list, carry: int) -> None:
@@ -516,11 +550,6 @@ def chromatic_number(G: IntersectionGraph, budget=None):
     for c in range(lb, ub):
         w = chromatic_decision(G, c, budget, clique=clique)
         if w is not None:
-            ok, edge = is_proper(G, w)
-            if not ok:
-                raise ImproperColoring((G.labels[edge[0]], G.labels[edge[1]]))
-            if w.num_colors > c:
-                raise CertificateError(f"witness for chi <= {c} uses {w.num_colors} colors")
             return c, w
         budget.lower = c + 1
     return ub, heur
@@ -534,11 +563,23 @@ def format_edge_list(G: IntersectionGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_BLANKS = str.maketrans("", "", " \t")
+
+
+def _decimal(rows: str) -> bool:
+    """Whether rows holds only ASCII decimal digits, spaces and tabs; int()
+    alone would also read signs, underscores and non-ASCII digits."""
+    return rows.isascii() and rows.translate(_BLANKS).isdigit()
+
+
 def parse_edge_list(text: str) -> IntersectionGraph:
     rows = [ln for ln in (s.strip() for s in text.splitlines())
             if ln and not ln.startswith("#")]
     if not rows:
         raise FileFormatError("empty edge list")
+    if not _decimal("".join(rows)):            # one scan; the row only for the message
+        bad = next(r for r in rows if not _decimal(r))
+        raise FileFormatError(f"bad edge list: row {bad[:40]!r} holds more than ASCII decimal numbers")
     edges = []
     try:
         n, m = map(int, rows[0].split())

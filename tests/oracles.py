@@ -209,25 +209,24 @@ def connectivity_oracle(polylines, res: int = 4):
 
 
 def kernelize_by_passes(adj, c: int):
-    """The exact solver's kernel, peeled as it was before it used a heap:
-    each pass walks the live vertices in increasing order and removes every
-    one whose live degree is below c when the walk reaches it, until a pass
-    removes none. Returns (core, removal order). O(n) per pass and up to n
-    passes, with plain integer bit tests."""
+    """The exact solver's kernel, peeled pass by pass in plain sets: each
+    pass walks the live vertices in increasing order and removes every
+    one that, when the walk reaches it, has fewer than c live neighbours or
+    has its live neighbours all adjacent to one other live vertex, until a
+    pass removes none. Returns (core, removal order). O(n²) subset tests per
+    pass and up to n passes."""
     n = len(adj)
+    nbrs = [{u for u in range(n) if adj[v] >> u & 1} for v in range(n)]
     alive = set(range(n))
-    deg = {v: bin(adj[v]).count("1") for v in alive}
     removed = []
     changed = True
     while changed:
         changed = False
         for v in sorted(alive):
-            if deg[v] < c:
+            live = nbrs[v] & alive
+            if len(live) < c or any(live <= nbrs[w] for w in alive - {v}):
                 alive.remove(v)
                 removed.append(v)
-                for u in range(n):
-                    if adj[v] >> u & 1 and u in alive:
-                        deg[u] -= 1
                 changed = True
     return sorted(alive), removed
 

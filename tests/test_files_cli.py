@@ -809,10 +809,11 @@ class TestCli:
         assert "FileFormatError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body", ["3 1\n0 1 2\n", "3 1\n0\n", "2 1\n0 0\n",
-                                      f"{MAX_GENERATED_CURVES + 1} 0\n"])
+                                      f"{MAX_GENERATED_CURVES + 1} 0\n", "12 1\n0 1_0\n"])
     def test_malformed_edge_row(self, tmp_path, capsys, body):
-        # a row of three integers, a row of one, a self-loop, and a vertex
-        # count just above the cap, rejected before anything is allocated
+        # a row of three integers, a row of one, a self-loop, a vertex count
+        # just above the cap, rejected before anything is allocated, and a
+        # number that int() alone would read as 10
         path = tmp_path / "bad.txt"
         path.write_text(body)
         assert main(["color", "--exact", "--graph", str(path)]) == 4

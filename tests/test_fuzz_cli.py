@@ -120,8 +120,9 @@ _EDGE_LIST = (b"6 10", b"0 1", b"1 2", b"2 3", b"3 4", b"0 4",
 
 _TOKENS = st.one_of(
     st.integers(-3, 12).map(lambda v: str(v).encode()),
-    st.sampled_from([b"", b"x", b"1.5", b"0x1", b"1e3", b"nan", b"#", b"-0", b"+3",
-                     "\uff11".encode(), b"\xff", b"\xc3(", b"\xed\xa0\x80", b"9" * 5000,
+    st.sampled_from([b"", b"x", b"1.5", b"0x1", b"1e3", b"nan", b"#", b"-0", b"+3", b"+0",
+                     b"1_0", "\uff11".encode(), "\uff10".encode(), b"\xff", b"\xc3(",
+                     b"\xed\xa0\x80", b"9" * 5000,
                      str(2**62).encode(), str(-2**63).encode(),
                      str(MAX_GENERATED_CURVES + 1).encode()]))
 

@@ -64,6 +64,29 @@ def small_graphs(draw):
     return graph_from_edges(n, edges)
 
 
+def _multipartite(sizes):
+    """The complete multipartite graph with parts of the given sizes: each
+    vertex is a twin of the rest of its part."""
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return graph_from_edges(len(part), [(u, v) for u, v in itertools.combinations(range(len(part)), 2)
+                                        if part[u] != part[v]])
+
+
+@st.composite
+def twin_rich_graphs(draw):
+    """Complete multipartite graphs, and small graphs with one vertex copied:
+    the copy sees the original's neighbours and possibly more, so it
+    dominates the original."""
+    if draw(st.booleans()):
+        return _multipartite(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
+                                  .filter(lambda sizes: sum(sizes) <= 7)))
+    g = draw(small_graphs().filter(lambda g: 0 < g.n < 7))
+    v = draw(st.integers(0, g.n - 1))
+    extra = [u for u in range(g.n) if u != v and not (g.adj[v] >> u) & 1 and draw(st.booleans())]
+    copy = [u for u in range(g.n) if (g.adj[v] >> u) & 1] + extra
+    return graph_from_edges(g.n + 1, [*g.edges(), *((u, g.n) for u in copy)])
+
+
 class TestClique:
     def test_known_values(self):
         assert clique_number(K(4)) == 4
@@ -88,6 +111,20 @@ class TestClique:
                 want = size
                 break
         assert clique_number(g) == want
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_against_networkx(self, seed):
+        # an independent exact search: networkx's maximal-clique enumeration
+        import networkx as nx
+
+        rng = random.Random(seed)
+        g = (_double_mycielskian(seed) if seed % 4 == 3
+             else _gnp(seed, rng.randrange(20, 61), rng.choice((0.1, 0.25, 0.5, 0.7))))
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        clique = maximum_clique(g)
+        assert len(clique) == max(len(c) for c in nx.find_cliques(h))
+        assert h.subgraph(clique).number_of_edges() == len(clique) * (len(clique) - 1) // 2
 
 
 class TestChromatic:
@@ -115,6 +152,16 @@ class TestChromatic:
         assert ok
         assert witness.num_colors == chi or g.n == 0
         assert clique_number(g) <= chi
+
+    @given(st.one_of(small_graphs(), twin_rich_graphs()))
+    @settings(max_examples=80, deadline=None)
+    def test_decision_against_brute_force(self, g):
+        chi = brute_chi(g)
+        for c in range(g.n + 2):
+            w = chromatic_decision(g, c)
+            assert (w is None) == (chi > c)
+            if w is not None:
+                assert is_proper(g, w)[0] and w.num_colors <= c
 
     @given(small_graphs(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -144,8 +191,11 @@ class TestChromatic:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_kernel_removal_order(self, seed):
-        # the heap peels in the order of the pass-by-pass loop it replaced:
-        # sparse graphs with shuffled labels cascade across many passes
+        # the kernel peels in the order of the pass-by-pass loop: sparse
+        # graphs with shuffled labels cascade across many passes, and in
+        # twin-rich graphs a vertex's only dominator is often a twin removed
+        # just before in the same pass (K_{3,3} at c <= 3: 0 and 1 go as
+        # twins of 2, which then has no dominator left)
         from oracles import kernelize_by_passes
 
         rng = random.Random(seed)
@@ -155,7 +205,8 @@ class TestChromatic:
         rng.shuffle(perm)
         tail = graph_from_edges(n + 5, [(i, (i + 1) % 5) for i in range(5)]
                                 + [(5 + perm[v], 5 + perm[v - 1] if v else 4) for v in range(n)])
-        for h in (g, tail):
+        parts = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 5))]
+        for h in (g, tail, _double_mycielskian(seed), _multipartite(parts), _multipartite((3, 3))):
             for c in range(1, 7):
                 assert graphcore._kernelize(h, c) == kernelize_by_passes(h.adj, c)
 
@@ -175,10 +226,18 @@ class TestChromatic:
         (Coloring((0, 1, 0, 1, 2)), CertificateError),   # proper, but 3 colors for c = 2
     ])
     def test_bad_decision_witness_rejected(self, monkeypatch, witness, error):
-        monkeypatch.setattr(graphcore, "chromatic_decision",
-                            lambda g, c, budget, clique: witness)
+        # the search hands back a bad colouring of the core; the decision
+        # rejects it before any caller reads a color: chromatic_number at
+        # c = 2 on C_5, and mcguinness_subgraph at c = beta = 1 on the prefix
+        # {0, 1} of K_5, where it would index a class list of beta + 1
+        from curvefam.reductions import mcguinness_subgraph
+
+        monkeypatch.setattr(graphcore, "_decide_core",
+                            lambda g, c, budget, clique=None: list(witness.colors[:g.n]))
         with pytest.raises(error):
             chromatic_number(C(5))
+        with pytest.raises(error):
+            mcguinness_subgraph(K(5), list(range(5)), alpha=1, beta=1)
 
 
 class TestGreedyAndProper:
@@ -300,6 +359,11 @@ class TestGraphStructure:
             parse_edge_list("3 1\n0 5\n")
         with pytest.raises(FileFormatError):
             parse_edge_list("")
+        # int() reads these as 10, 0 and 0; a row holds ASCII digits only
+        for row in ("0 1_0", "+0 1", "\uff10 1"):
+            with pytest.raises(FileFormatError, match="holds more than ASCII decimal numbers"):
+                parse_edge_list(f"12 1\n{row}\n")
+        assert parse_edge_list("# any text: +0 1_0 \uff10\n2 1\n0\t1\n").m == 1
         # one vertex above the cap: rejected before [0] * n is allocated
         with pytest.raises(FileFormatError, match=r"must be in 0\.\.1000000, got 1000001$"):
             parse_edge_list(f"{MAX_GENERATED_CURVES + 1} 0\n")
@@ -340,8 +404,11 @@ def _search_record(g, below=1):
 # sha256 over _search_record of a fixed graph set, pinned with the recursive
 # trail-based search; any change to the search tree, the witnesses or the
 # node counts changes it. Re-pinned when chromatic_number came to pass its
-# clique to the decisions: only the node counts of the chi rows fell.
-SEARCH_DIGEST = "42e33b6ed577719e657b8026f96e75ba085f3fd0af4a0b0ce279cd0d63d95009"
+# clique to the decisions: only the node counts of the chi rows fell. Re-pinned
+# when the kernel came to strip dominated vertices: every chi and every
+# decision's outcome held, the nodes fell from 2,293 to 2,279 and 2 of 76
+# rows changed their witness.
+SEARCH_DIGEST = "e8e1b6a3125a78c797e9b8cba0f29356eff071d3480cdb66ffa581be8802f08b"
 
 
 def _digest_graphs():
@@ -366,8 +433,10 @@ def test_search_digest():
 # refutations are deep, and their wipeouts land in the middle of a round of
 # forced assignments. Pinned at commit f732a05, before the search carried its
 # counts from state to state; re-pinned, like SEARCH_DIGEST, when only the
-# chi rows' node counts fell.
-MYCIELSKI_DIGEST = "52b43b9663e0acd04ece2c92df4fc8f36a1a944375dacea8ae3dfcf3f24231f8"
+# chi rows' node counts fell, and again when the kernel came to strip
+# dominated vertices: outcomes held, the nodes fell from 13,503 to 7,897 and
+# 20 of 120 rows changed their witness.
+MYCIELSKI_DIGEST = "2568a0ce3050a17d6700e72e550d7ba1f4bbc1444fd55dd5a46fa2c22d91d919"
 
 
 def _double_mycielskian(seed):
@@ -418,13 +487,14 @@ def _oracle_decision(g, c):
 
 
 def _oracle_graphs(family):
-    from generators import graph_with_chi_above
+    from generators import graph_with_chi_above, mycielskian
 
     if family == "gnp":
         return [_gnp(seed, 8 + seed % 25, (0.1, 0.2, 0.3, 0.5)[seed % 4]) for seed in range(80)]
     if family == "chi-above":
         return [graph_with_chi_above(random.Random(seed), 2 + seed % 4) for seed in range(70)]
-    return [_double_mycielskian(seed) for seed in range(100, 150)]
+    return ([mycielskian(k) for k in range(2, 6)]
+            + [_double_mycielskian(seed) for seed in range(100, 150)])
 
 
 @pytest.mark.parametrize("family", ["gnp", "chi-above", "double-mycielskian"])
@@ -445,14 +515,14 @@ def test_decisions_match_one_at_a_time_oracle(family):
 
 
 def test_budget_ticks_at_the_same_nodes():
-    # a c = 4 refutation on a double Mycielskian (chi = 5) takes 491 nodes,
+    # a c = 4 refutation on a double Mycielskian (chi = 5) takes 185 nodes,
     # clique included; one node fewer runs out with the core's clique size
     # as the lower bound and no upper bound
     g = _double_mycielskian(3)
     budget = Budget(10 ** 8)
     assert chromatic_decision(g, 4, budget) is None
     nodes = 10 ** 8 - budget.remaining
-    assert nodes == 491
+    assert nodes == 185
     assert chromatic_decision(g, 4, Budget(nodes)) is None
     with pytest.raises(SolverBudgetExceeded) as exc:
         chromatic_decision(g, 4, Budget(nodes - 1))
@@ -507,26 +577,34 @@ def test_chromatic_number_finds_its_clique_once(family, monkeypatch):
 
 
 def test_maximum_clique_runs_once_per_chromatic_number(monkeypatch):
-    # chi = 5 after decisions at c = 2, 3 and 4, each on all of G
+    # chi = 5 after decisions at c = 2, 3 and 4: M_5 has minimum degree 4
+    # and no dominated vertex, so each decision is on all of G; each kernel
+    # of the double Mycielskian drops its dominated vertices, so each of its
+    # decisions searches its own core's clique
+    from generators import mycielskian
+
     find, calls = graphcore.maximum_clique, []
     monkeypatch.setattr(graphcore, "maximum_clique",
                         lambda g, budget=None: calls.append(g) or find(g, budget))
-    assert chromatic_number(_double_mycielskian(3))[0] == 5
+    assert chromatic_number(mycielskian(5))[0] == 5
     assert len(calls) == 1
+    calls.clear()
+    assert chromatic_number(_double_mycielskian(3))[0] == 5
+    assert len(calls) == 1 + 3
 
 
-def _octahedra(k):
-    """k disjoint copies of K_{2,2,2}: 4-regular, 3-chromatic."""
-    return graph_from_edges(6 * k, [
-        (6 * b + u, 6 * b + v) for b in range(k)
-        for u, v in itertools.combinations(range(6), 2) if v != u + 3])
+def _cycle_square(n):
+    """C_n with each vertex also joined to the vertices two steps away:
+    4-regular, 3-chromatic when 3 divides n, and for n >= 9 no vertex is
+    dominated, as only v itself is adjacent to both v - 2 and v + 2."""
+    return graph_from_edges(n, [(v, (v + d) % n) for v in range(n) for d in (1, 2)])
 
 
 @pytest.mark.parametrize("solve, want", [
     # every vertex survives the c = 4 kernel; the search takes 1,801 nodes
-    (lambda: chromatic_decision(_octahedra(300), 4).num_colors, 3),
+    (lambda: chromatic_decision(_cycle_square(1800), 4).num_colors, 3),
     (lambda: clique_number(K(1200)), 1200),
-], ids=["octahedra", "K1200"])
+], ids=["cycle-square", "K1200"])
 def test_deep_search_keeps_recursion_limit(solve, want):
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
