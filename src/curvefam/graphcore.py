@@ -146,6 +146,9 @@ def _prechecked_graph(n: int, adj, labels) -> IntersectionGraph:
     return G
 
 
+_EMPTY = _prechecked_graph(0, (), ())
+
+
 @dataclass(frozen=True)
 class Coloring:
     """A total assignment of 0-based colors to vertices."""
@@ -161,12 +164,20 @@ class Coloring:
 
 
 def is_proper(G: IntersectionGraph, coloring: Coloring):
-    """(True, None) or (False, first monochromatic edge in index order)."""
-    if len(coloring.colors) != G.n:
+    """(True, None) or (False, first monochromatic edge in index order).
+
+    One bitmask per color class; each vertex u in index order meets its
+    class only above u, so the first hit is the first such edge."""
+    colors = coloring.colors
+    if len(colors) != G.n:
         raise ContractError("coloring must be total on vertices")
-    for u, v in G.edges():
-        if coloring.colors[u] == coloring.colors[v]:
-            return False, (u, v)
+    classes: dict = {}
+    for v, col in enumerate(colors):
+        classes[col] = classes.get(col, 0) | 1 << v
+    for u, (row, col) in enumerate(zip(G.adj, colors)):
+        clash = (row & classes[col]) >> u      # row lacks u, so bit 0 is clear
+        if clash:
+            return False, (u, u + (clash & -clash).bit_length() - 1)
     return True, None
 
 
@@ -312,21 +323,20 @@ def _kernelize(G: IntersectionGraph, c: int):
     return list(_bits(live)), removed
 
 
-def chromatic_decision(G: IntersectionGraph, c: int, budget=None, *,
-                       clique=None) -> Optional[Coloring]:
+def chromatic_decision(G: IntersectionGraph, c: int, budget=None) -> Optional[Coloring]:
     """Exhaustively decide whether G is c-colorable.
 
     Returns a witness Coloring using at most c colors, or None after an
-    exhaustive refutation. Vertices of degree < c, and vertices whose
-    neighbours are all adjacent to one other vertex, are stripped first
-    (_kernelize) and recolored first-fit in reverse afterwards, which
-    preserves the decision: a stripped vertex sees fewer than c colors, or
-    its dominator is recolored before it and the dominator's color is free
-    for it. A core that keeps every vertex is G itself, searched without a
-    copy. clique, if given, must be maximum_clique(G); such a core then
-    starts from it instead of searching for it again. The witness is checked
-    before it is returned: ImproperColoring names a monochromatic edge, and
-    CertificateError a witness with more than c colors.
+    exhaustive refutation. This is the one-link case of chromatic_number's
+    kernel chain, with the same peel (_peel) and lift (_lift) steps:
+    vertices of degree < c, and vertices whose neighbours are all adjacent
+    to one other vertex, are stripped first (_kernelize) and recolored
+    first-fit in reverse afterwards, which preserves the decision: a
+    stripped vertex sees fewer than c colors, or its dominator is recolored
+    before it and the dominator's color is free for it. A core that keeps
+    every vertex is G itself, searched without a copy. The witness is
+    checked before it is returned: ImproperColoring names a monochromatic
+    edge, and CertificateError a witness with more than c colors.
     """
     budget = _as_budget(budget)
     if c < 0:
@@ -335,21 +345,42 @@ def chromatic_decision(G: IntersectionGraph, c: int, budget=None, *,
         return Coloring(())
     if c == 0:
         return None
-    core, removed = _kernelize(G, c)
-    colors = [-1] * G.n
+    removed: list = []
+    sub, mapping = _peel(G, range(G.n), c, removed)
+    sub_colors = _decide_core(sub, c, budget, None)
+    return None if sub_colors is None else _lift(G, c, mapping, sub_colors, removed)
 
-    if core:
-        if removed:
-            sub, mapping = induced_subgraph(G, core)
-            clique = None               # G's clique, not the core's
-        else:
-            sub, mapping = G, core
-        sub_colors = _decide_core(sub, c, budget, clique)
-        if sub_colors is None:
-            return None
+
+def _peel(sub: IntersectionGraph, mapping, c: int, removed: list):
+    """One link of a kernel chain: the c-kernel of sub, whose vertex i is
+    G's vertex mapping[i]. Appends the G indices of the peeled vertices to
+    removed, in removal order, and returns (core, the core's map to G); a
+    core that keeps every vertex is sub itself, and an empty core is the
+    shared empty graph, cut from nothing."""
+    core, gone = _kernelize(sub, c)
+    if not gone:
+        return sub, mapping
+    removed += [mapping[v] for v in gone]
+    if not core:
+        return _EMPTY, core
+    return induced_subgraph(sub, core)[0], [mapping[v] for v in core]
+
+
+def _lift(G: IntersectionGraph, c: int, mapping, sub_colors: list, removed: list) -> Coloring:
+    """The core's colors on G, extended first-fit over the removal list in
+    reverse, and checked as a witness for c colors."""
+    colors = sub_colors                 # with nothing removed, the core is G
+    if removed:
+        colors = [-1] * G.n
         for i, v in enumerate(mapping):
             colors[v] = sub_colors[i]
-    w = Coloring(tuple(_first_fit(G.adj, colors, reversed(removed))))
+        _first_fit(G.adj, colors, reversed(removed))
+    return _checked(G, Coloring(tuple(colors)), c)
+
+
+def _checked(G: IntersectionGraph, w: Coloring, c: int) -> Coloring:
+    """w, once it is proper on G and uses at most c colors: ImproperColoring
+    names a monochromatic edge, and CertificateError a witness with more."""
     ok, edge = is_proper(G, w)
     if not ok:
         raise ImproperColoring((G.labels[edge[0]], G.labels[edge[1]]))
@@ -404,8 +435,7 @@ def _dsatur_heuristic(G: IntersectionGraph) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def _decide_core(G: IntersectionGraph, c: int, budget: Budget,
-                 clique=None) -> Optional[list]:
+def _decide_core(G: IntersectionGraph, c: int, budget: Budget, clique) -> Optional[list]:
     """DSATUR over bitset states (Brelaz 1979; San Segundo 2012).
 
     A state is (uncolored mask, masks, classes opened, path). masks is one
@@ -415,9 +445,9 @@ def _decide_core(G: IntersectionGraph, c: int, budget: Budget,
     k moves up one sat level; it did not see k, so it stays within sat.
     path links each (vertex mask, color) assignment back to the root.
     Children are fresh copies, so backtracking drops a state and undoes
-    nothing. The search starts from clique, one class per vertex, or from
-    maximum_clique(G) when none is given. c >= 2 here: at c = 1 a core has
-    an edge, so its clique already exceeds c.
+    nothing. The search starts from clique, a maximum clique of G, one class
+    per vertex, or from maximum_clique(G) when clique is None. c >= 2 here:
+    at c = 1 a core has an edge, so its clique already exceeds c.
 
     A vertex that sees all c classes is a wipeout; one that sees c - 1 is
     forced to its free class. Forced vertices are settled a round at a time,
@@ -434,6 +464,8 @@ def _decide_core(G: IntersectionGraph, c: int, budget: Budget,
     exit.
     """
     adj, n = G.adj, G.n
+    if not n:
+        return []                      # every vertex was peeled: no search, no node
     if clique is None:
         clique = maximum_clique(G, budget)
     if len(clique) > c:
@@ -535,9 +567,21 @@ def _decide_core(G: IntersectionGraph, c: int, budget: Budget,
 def chromatic_number(G: IntersectionGraph, budget=None):
     """Exact chromatic number with a witness coloring.
 
-    The witness is proper and optimal; its specific color classes are not
-    canonical. Raises SolverBudgetExceeded with the best bounds when the
-    budget runs out.
+    Refutes c = omega, omega + 1, ... one decision at a time along one
+    kernel chain, and stops at the first c-colorable core. Each c-kernel is
+    peeled from the previous core, not from G (_peel): a vertex removable at
+    c is removable at c + 1, as its degree is below c + 1 and domination
+    does not depend on c, so the cores nest (Seidman 1983; Matula and Beck
+    1983). The peeled vertices form one removal list in G's indices, and a
+    witness is lifted by first-fit over it in reverse (_lift): each vertex
+    then sees the vertices that were live when it went. The maximum clique
+    is searched once, on G; while a core keeps all of it, the core's search
+    starts from it. When every decision refutes, the DSATUR heuristic's
+    coloring is the witness. Every witness, the heuristic's included, is
+    checked proper and within its color count before it is returned
+    (ImproperColoring, CertificateError). The witness is optimal; its
+    specific color classes are not canonical. Raises SolverBudgetExceeded
+    with the best bounds when the budget runs out.
     """
     budget = _as_budget(budget)
     if G.n == 0:
@@ -547,12 +591,18 @@ def chromatic_number(G: IntersectionGraph, budget=None):
     heur = _dsatur_heuristic(G)
     ub = heur.num_colors
     budget.lower, budget.upper = lb, ub
+    sub, mapping, removed, start = G, range(G.n), [], clique
     for c in range(lb, ub):
-        w = chromatic_decision(G, c, budget, clique=clique)
-        if w is not None:
-            return c, w
+        core, mapping = _peel(sub, mapping, c, removed)
+        if core is not sub and start is not None:     # once a clique vertex goes, it stays gone
+            index = {v: i for i, v in enumerate(mapping)}
+            start = [index[v] for v in clique] if all(v in index for v in clique) else None
+        sub = core
+        sub_colors = _decide_core(sub, c, budget, start)
+        if sub_colors is not None:
+            return c, _lift(G, c, mapping, sub_colors, removed)
         budget.lower = c + 1
-    return ub, heur
+    return ub, _checked(G, heur, ub)
 
 
 # Plain edge-list exchange format: header "n m", one edge per line.

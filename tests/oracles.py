@@ -231,6 +231,17 @@ def kernelize_by_passes(adj, c: int):
     return sorted(alive), removed
 
 
+def first_monochromatic_edge(adj, colors):
+    """The first edge (u, v), u < v, in index order whose ends share a
+    colour, or None: a scan of every vertex pair."""
+    n = len(adj)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj[u] >> v & 1 and colors[u] == colors[v]:
+                return u, v
+    return None
+
+
 def decide_one_at_a_time(adj, c: int, clique):
     """The exact solver's c-colouring search on a kernel core, as it was
     before it settled forced vertices a colour class at a time, in plain

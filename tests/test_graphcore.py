@@ -143,9 +143,11 @@ class TestChromatic:
         ok, _ = is_proper(g, w)
         assert ok
 
-    @given(small_graphs())
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_graphs(), twin_rich_graphs()))
+    @settings(max_examples=100, deadline=None)
     def test_against_brute_force(self, g):
+        # with twins, a core peeled from the previous core can differ from
+        # one peeled from g, as the pass order decides which twin goes
         chi, witness = chromatic_number(g)
         assert chi == brute_chi(g)
         ok, _ = is_proper(g, witness)
@@ -233,11 +235,26 @@ class TestChromatic:
         from curvefam.reductions import mcguinness_subgraph
 
         monkeypatch.setattr(graphcore, "_decide_core",
-                            lambda g, c, budget, clique=None: list(witness.colors[:g.n]))
+                            lambda g, c, budget, clique: list(witness.colors[:g.n]))
         with pytest.raises(error):
             chromatic_number(C(5))
         with pytest.raises(error):
             mcguinness_subgraph(K(5), list(range(5)), alpha=1, beta=1)
+
+    def test_bad_fallback_witness_rejected(self, monkeypatch, tmp_path, capsys):
+        # when every decision refutes, the heuristic's colouring is the
+        # witness, and it is checked as a decision's is: a 2-colouring of
+        # C_5 sets the upper bound to omega, so no decision runs at all
+        from curvefam.cli import EXIT_VALIDATION, main
+
+        monkeypatch.setattr(graphcore, "_dsatur_heuristic", lambda g: Coloring((0, 1, 0, 1, 0)))
+        with pytest.raises(ImproperColoring, match=r"\('0', '4'\)"):
+            chromatic_number(C(5))
+        path = tmp_path / "c5.txt"
+        path.write_text(format_edge_list(C(5)))
+        assert main(["color", "--exact", "--graph", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ImproperColoring: monochromatic edge ('0', '4')\n"
 
 
 class TestGreedyAndProper:
@@ -274,6 +291,18 @@ class TestGreedyAndProper:
     def test_coloring_must_be_total(self):
         with pytest.raises(ContractError):
             is_proper(K(3), Coloring((0, 1)))
+
+    @given(st.one_of(small_graphs(), twin_rich_graphs()), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_is_proper_against_edge_scan(self, g, data):
+        # the class masks report the same first monochromatic edge as a scan
+        # of every pair; few colours make most colourings improper
+        from oracles import first_monochromatic_edge
+
+        k = data.draw(st.integers(1, 4))
+        colors = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n)))
+        edge = first_monochromatic_edge(g.adj, colors)
+        assert is_proper(g, Coloring(colors)) == (edge is None, edge)
 
 
 class TestGraphStructure:
@@ -407,8 +436,11 @@ def _search_record(g, below=1):
 # clique to the decisions: only the node counts of the chi rows fell. Re-pinned
 # when the kernel came to strip dominated vertices: every chi and every
 # decision's outcome held, the nodes fell from 2,293 to 2,279 and 2 of 76
-# rows changed their witness.
-SEARCH_DIGEST = "e8e1b6a3125a78c797e9b8cba0f29356eff071d3480cdb66ffa581be8802f08b"
+# rows changed their witness. Re-pinned when chromatic_number came to walk
+# one kernel chain and start every core that keeps G's clique from it:
+# only the node counts of 5 chi rows changed, and the nodes fell from 2,279
+# to 2,109.
+SEARCH_DIGEST = "546d3baa365af5330836f15e1b0418d98bae74aae0ad5931dad39147459e7c0b"
 
 
 def _digest_graphs():
@@ -435,8 +467,10 @@ def test_search_digest():
 # counts from state to state; re-pinned, like SEARCH_DIGEST, when only the
 # chi rows' node counts fell, and again when the kernel came to strip
 # dominated vertices: outcomes held, the nodes fell from 13,503 to 7,897 and
-# 20 of 120 rows changed their witness.
-MYCIELSKI_DIGEST = "2568a0ce3050a17d6700e72e550d7ba1f4bbc1444fd55dd5a46fa2c22d91d919"
+# 20 of 120 rows changed their witness; and again, like SEARCH_DIGEST, for
+# the kernel chain: only the node counts of 20 chi rows changed, and the
+# nodes fell from 7,897 to 7,421.
+MYCIELSKI_DIGEST = "04ff6aae4d28d0cb3bdece467f0a3d997e7b94208aec2c7fd70d629e7bb94ba8"
 
 
 def _double_mycielskian(seed):
@@ -542,45 +576,108 @@ def test_time_budget_runs_out_in_the_search(monkeypatch):
     assert 0 < given - budget.remaining <= 1024 and budget.remaining % 1024 == 0
 
 
+def _oracle_chain(g):
+    """chromatic_number(g)'s answer, witness colours and node count, with
+    each c-kernel peeled from the previous core by the plain-set oracle and
+    searched one forced vertex at a time; g's maximum clique is searched
+    once and starts every search whose core keeps all of it, and any other
+    core's clique comes from maximum_clique on that core. Also returns how
+    many cores dropped a vertex yet kept g's clique."""
+    from oracles import decide_one_at_a_time, kernelize_by_passes
+
+    budget = Budget(10 ** 8)
+    clique = maximum_clique(g, budget)
+    heuristic = graphcore._dsatur_heuristic(g).colors
+    core, removed, sub, nodes, reused = list(range(g.n)), [], g, 0, 0
+    for c in range(len(clique), max(heuristic) + 1):
+        keep, gone = kernelize_by_passes(sub.adj, c)
+        removed += [core[v] for v in gone]
+        sub, core = induced_subgraph(sub, keep)[0], [core[v] for v in keep]
+        colors = [-1] * g.n
+        if core:
+            if set(clique) <= set(core):
+                start = [core.index(v) for v in clique]
+                reused += bool(gone)
+            else:
+                start = maximum_clique(sub, budget)
+            sub_colors, search_nodes, _ = decide_one_at_a_time(sub.adj, c, start)
+            nodes += search_nodes
+            if sub_colors is None:
+                continue
+            for i, v in enumerate(core):
+                colors[v] = sub_colors[i]
+        for v in reversed(removed):
+            used = {colors[u] for u in range(g.n) if (g.adj[u] >> v) & 1}
+            colors[v] = min(set(range(g.n + 1)) - used)
+        return c, tuple(colors), nodes + 10 ** 8 - budget.remaining, reused
+    return max(heuristic) + 1, heuristic, nodes + 10 ** 8 - budget.remaining, reused
+
+
 @pytest.mark.parametrize("family", ["gnp", "chi-above", "double-mycielskian"])
-def test_chromatic_number_finds_its_clique_once(family, monkeypatch):
-    # chromatic_number's nodes are its clique's plus each decision's, less
-    # the clique search of each decision whose core is all of G, which
-    # starts from the clique it is given
-    from oracles import kernelize_by_passes
-
-    decide, asked = graphcore.chromatic_decision, []
-
-    def recorded(g, c, budget, **kwargs):
-        asked.append(c)
-        return decide(g, c, budget, **kwargs)
-
-    monkeypatch.setattr(graphcore, "chromatic_decision", recorded)
-    skipped = 0
+def test_chromatic_number_finds_its_clique_once(family):
+    # chromatic_number walks one kernel chain, each core peeled from the
+    # last, and searches a core's clique only once g's clique has lost a
+    # vertex: its answer, witness and nodes are those of the oracle chain
+    reused = 0
     for g in _oracle_graphs(family):
-        asked.clear()
         budget = Budget(10 ** 8)
-        chromatic_number(g, budget)
-        clique_budget = Budget(10 ** 8)
-        maximum_clique(g, clique_budget)
-        clique_nodes = want = 10 ** 8 - clique_budget.remaining
-        for c in asked:
-            decision_budget = Budget(10 ** 8)
-            decide(g, c, decision_budget)
-            want += 10 ** 8 - decision_budget.remaining
-            if not kernelize_by_passes(g.adj, c)[1]:
-                want -= clique_nodes
-                skipped += 1
-        assert 10 ** 8 - budget.remaining == want
-    if family != "chi-above":       # there every decision's kernel drops a vertex
-        assert skipped > 0
+        chi, witness = chromatic_number(g, budget)
+        want = _oracle_chain(g)
+        assert (chi, witness.colors, 10 ** 8 - budget.remaining) == want[:3]
+        reused += want[3]
+    assert reused > 0           # some cores drop vertices and keep g's clique
+
+
+def _with_cycle_hung(g, rng):
+    """g with a C_5 joined to one random vertex by an edge, relabeled at
+    random: at c = 2 the cycle stays, and at c = 3 it peels away."""
+    edges = [*g.edges(), *((g.n + i, g.n + (i + 1) % 5) for i in range(5)), (rng.randrange(g.n), g.n)]
+    perm = list(range(g.n + 5))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n + 5, [(perm[u], perm[v]) for u, v in edges])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_chain_removals_replay(seed, monkeypatch):
+    # the chain's one removal list in g's indices, replayed in plain sets
+    # link by link: a vertex peeled at c had fewer than c live neighbours
+    # when it went, or a live non-neighbour adjacent to all of its live
+    # neighbours. The double Mycielskians and Grötzsch's graph are
+    # triangle-free with chi >= 4, so their chains have links at c = 2 and
+    # 3; a hung C_5 is peeled at c = 3, from the c = 2 core
+    peel, links = graphcore._peel, []
+
+    def recorded(sub, mapping, c, removed):
+        out = peel(sub, mapping, c, removed)
+        links.append((c, list(removed)))
+        return out
+
+    monkeypatch.setattr(graphcore, "_peel", recorded)
+    rng = random.Random(seed)
+    dm = _double_mycielskian(seed)
+    for g, hung in ((dm, False), (_with_cycle_hung(dm, rng), True),
+                    (_with_cycle_hung(_grotzsch(), rng), True),
+                    (_gnp(seed, rng.randrange(8, 40), rng.choice((0.1, 0.2, 0.3))), None)):
+        links.clear()
+        chromatic_number(g)
+        nbrs = [{u for u in range(g.n) if (g.adj[v] >> u) & 1} for v in range(g.n)]
+        alive, sizes = set(range(g.n)), [0]
+        for c, removed in links:
+            for v in removed[sizes[-1]:]:
+                alive.remove(v)
+                live = nbrs[v] & alive
+                assert len(live) < c or any(live <= nbrs[w] for w in alive - live)
+            sizes.append(len(removed))
+        if hung is not None:
+            assert [c for c, _ in links[:2]] == [2, 3]      # chi >= 4
+            assert (sizes[2] > sizes[1]) == hung            # only the cycle goes at c = 3
 
 
 def test_maximum_clique_runs_once_per_chromatic_number(monkeypatch):
     # chi = 5 after decisions at c = 2, 3 and 4: M_5 has minimum degree 4
     # and no dominated vertex, so each decision is on all of G; each kernel
-    # of the double Mycielskian drops its dominated vertices, so each of its
-    # decisions searches its own core's clique
+    # of the double Mycielskian drops dominated vertices but keeps G's
+    # clique, which starts each of its searches
     from generators import mycielskian
 
     find, calls = graphcore.maximum_clique, []
@@ -590,7 +687,7 @@ def test_maximum_clique_runs_once_per_chromatic_number(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     assert chromatic_number(_double_mycielskian(3))[0] == 5
-    assert len(calls) == 1 + 3
+    assert len(calls) == 1
 
 
 def _cycle_square(n):
