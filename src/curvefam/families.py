@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -28,7 +29,6 @@ from .geometry import (
     _OVERLAP,
     _POINT,
     _crossing_scan,
-    cached_attribute,
     segment_intersection,
     segments_intersect,
     validate_simple,
@@ -167,12 +167,12 @@ class PairMapped:
     """Members (each with an id and parts()) whose part-labelled pair map and
     intersection graph are each built once, on first use."""
 
-    @cached_attribute
+    @cached_property
     def pairs(self) -> dict:
         """The part-labelled pair map; see pair_points."""
         return pair_points(self.members)
 
-    @cached_attribute
+    @cached_property
     def _graph(self):
         return graph_from_edges(len(self.members), self.pairs,
                                 tuple(m.id for m in self.members))
@@ -288,8 +288,7 @@ def pair_points(members) -> dict:
     test only on box-meeting segments of two members. An OverlapError names
     the first overlapping member pair and, in it, the first polyline pair.
     """
-    # Built here, not read from Polyline.segment_boxes, whose caches would add
-    # about 400,000 objects on X_5 for the garbage collector to rescan.
+    # Not geometry._segment_boxes: these boxes also carry member, part and names.
     boxes = []
     for i, m in enumerate(members):
         for k, (names, poly) in enumerate(m.parts()):
@@ -354,7 +353,7 @@ def _restricted_families(fam: CurveFamily, groups) -> list:
 def _with_pairs(members: tuple, kind: FamilyKind, t, scale: int, pairs: dict) -> CurveFamily:
     """A family whose pair map is pairs, read off a parent family's map."""
     fam = CurveFamily(members, kind, t, scale)
-    fam.__dict__["pairs"] = pairs           # where the cached attribute keeps it
+    fam.__dict__["pairs"] = pairs           # where cached_property keeps it
     return fam
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 from .errors import (
@@ -44,18 +43,6 @@ MAX_COORD_MAGNITUDE = 2**62
 def is_exact(v) -> bool:
     """True if v is an exact coordinate (int or Fraction, not bool/float)."""
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-
-
-class cached_attribute(cached_property):
-    """functools.cached_property without the lock its first read takes on
-    Python 3.11: the value goes to the instance __dict__, which reads consult
-    before this descriptor."""
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.attrname] = self.func(obj)
-        return value
 
 
 @dataclass(init=False, unsafe_hash=True, slots=True)
@@ -176,13 +163,15 @@ def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
     return _NO_MEETING
 
 
-@dataclass(init=False, unsafe_hash=True)
+@dataclass(init=False, unsafe_hash=True, slots=True)
 class Polyline:
-    """A simple open polyline with exact vertices and an opaque id. Not
-    slotted: the cached attributes live in its __dict__."""
+    """A simple open polyline with exact vertices and an opaque id. bbox is
+    (xmin, ymin, xmax, ymax) over the vertices; it takes no part in equality,
+    hashing or repr."""
 
     points: tuple
     id: str = ""
+    bbox: tuple = field(init=False, compare=False, repr=False)
 
     def __init__(self, points, id: str = ""):
         if type(points) is not tuple:
@@ -191,37 +180,25 @@ class Polyline:
             raise ContractError(f"polyline {id!r} needs at least 2 points")
         if len(points) > MAX_POLYLINE_VERTICES:
             raise ContractError(f"polyline {id!r} exceeds the {MAX_POLYLINE_VERTICES}-vertex cap")
-        for a, b in zip(points, points[1:]):
-            if a.x == b.x and a.y == b.y:       # not the generated __eq__: cheaper
-                raise ContractError(f"polyline {id!r} repeats vertex {a}")
+        p = points[0]
+        x0 = x1 = px = p.x
+        y0 = y1 = py = p.y
+        for p in points[1:]:
+            x, y = p.x, p.y
+            if y == py and x == px:             # y first: a crossing's y is the int 0
+                raise ContractError(f"polyline {id!r} repeats vertex {p}")
+            if x > x1:                          # most curves run rightward
+                x1 = x
+            elif x < x0:
+                x0 = x
+            if y > y1:
+                y1 = y
+            elif y < y0:
+                y0 = y
+            px, py = x, y
         self.points = points
         self.id = id
-
-    @cached_attribute
-    def segments(self):
-        return tuple(zip(self.points, self.points[1:]))
-
-    @cached_attribute
-    def segment_boxes(self):
-        """Per segment ab, the tuple (xmin, xmax, ymin, ymax, a, b)."""
-        return tuple((a.x if a.x < b.x else b.x, b.x if a.x < b.x else a.x,
-                      a.y if a.y < b.y else b.y, b.y if a.y < b.y else a.y, a, b)
-                     for a, b in self.segments)
-
-    @cached_attribute
-    def bbox(self):
-        p = self.points[0]
-        x0, y0, x1, y1 = p.x, p.y, p.x, p.y
-        for p in self.points:
-            if p.x < x0:
-                x0 = p.x
-            elif p.x > x1:
-                x1 = p.x
-            if p.y < y0:
-                y0 = p.y
-            elif p.y > y1:
-                y1 = p.y
-        return (x0, y0, x1, y1)
+        self.bbox = (x0, y0, x1, y1)
 
     def reversed(self) -> "Polyline":
         return Polyline(self.points[::-1], self.id)
@@ -233,6 +210,20 @@ class Polyline:
 _xy = operator.attrgetter("x", "y")
 
 
+def _segment_boxes(points) -> list:
+    """Per segment ab of the vertex sequence points, in order, the tuple
+    (xmin, xmax, ymin, ymax, a, b)."""
+    boxes = []
+    a = points[0]
+    ax, ay = a.x, a.y
+    for b in points[1:]:
+        bx, by = b.x, b.y
+        boxes.append((ax if ax < bx else bx, bx if ax < bx else ax,
+                      ay if ay < by else by, by if ay < by else ay, a, b))
+        a, ax, ay = b, bx, by
+    return boxes
+
+
 def validate_simple(poly: Polyline) -> None:
     """Reject self-intersecting polylines.
 
@@ -242,9 +233,7 @@ def validate_simple(poly: Polyline) -> None:
     cross product and one dot product of the edge vectors decide the pair,
     and the exact segment test runs only on the others whose boxes meet.
     The fold-backs are found from the vertices first, so a polyline of at
-    most two edges builds no boxes. The box bounds live in four local lists:
-    the polyline's own segments and segment_boxes stay unbuilt until a
-    reader asks for them.
+    most two edges builds no boxes.
     """
     pts = poly.points
     n = len(pts) - 1
@@ -256,30 +245,12 @@ def validate_simple(poly: Polyline) -> None:
             fold = i
             break
     if n > 2:
-        x0, x1, y0, y1 = [], [], [], []     # edge i's box is x0[i]..x1[i], y0[i]..y1[i]
-        a = pts[0]
-        ax, ay = a.x, a.y
-        for b in pts[1:]:
-            bx, by = b.x, b.y
-            if ax < bx:
-                x0.append(ax)
-                x1.append(bx)
-            else:
-                x0.append(bx)
-                x1.append(ax)
-            if ay < by:
-                y0.append(ay)
-                y1.append(by)
-            else:
-                y0.append(by)
-                y1.append(ay)
-            ax, ay = bx, by
-        for i in range(fold):
-            sx0, sx1, sy0, sy1 = x0[i], x1[i], y0[i], y1[i]
-            for j in range(i + 2, n):
-                if sx1 < x0[j] or x1[j] < sx0 or sy1 < y0[j] or y1[j] < sy0:
+        boxes = _segment_boxes(pts)
+        for i, (sx0, sx1, sy0, sy1, a1, a2) in enumerate(boxes[:fold]):
+            for j, (tx0, tx1, ty0, ty1, b1, b2) in enumerate(boxes[i + 2:], i + 2):
+                if sx1 < tx0 or tx1 < sx0 or sy1 < ty0 or ty1 < sy0:
                     continue
-                rel, _ = segment_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
+                rel, _ = segment_intersection(a1, a2, b1, b2)
                 if rel is not _DISJOINT:
                     raise ContractError(
                         f"polyline {poly.id!r} self-intersects between edges {i} and {j}")
@@ -290,8 +261,9 @@ def validate_simple(poly: Polyline) -> None:
 def _box_pairs(a: Polyline, b: Polyline) -> list:
     """(a1, a2, b1, b2) for each segment pair whose boxes meet.
 
-    The one segment-pair loop of the pairwise predicates. Segments outside
-    the other polyline's bounding box are dropped before the pair loop.
+    The one segment-pair loop of the pairwise predicates. The segment boxes
+    are built per call; segments outside the other polyline's bounding box
+    are dropped before the pair loop.
     Plain loops, not comprehensions: a comprehension would turn the box
     bounds into closure cells, which costs every call, and most calls end
     at the first test.
@@ -302,10 +274,10 @@ def _box_pairs(a: Polyline, b: Polyline) -> list:
     if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
         return pairs
     b_boxes = []
-    for box in b.segment_boxes:
+    for box in _segment_boxes(b.points):
         if not (box[1] < ax0 or ax1 < box[0] or box[3] < ay0 or ay1 < box[2]):
             b_boxes.append(box)
-    for sx0, sx1, sy0, sy1, a1, a2 in a.segment_boxes:
+    for sx0, sx1, sy0, sy1, a1, a2 in _segment_boxes(a.points):
         if sx1 < bx0 or bx1 < sx0 or sy1 < by0 or by1 < sy0:
             continue
         for tx0, tx1, ty0, ty1, b1, b2 in b_boxes:
@@ -342,7 +314,8 @@ def polylines_disjoint(a: Polyline, b: Polyline) -> bool:
 
 
 def point_on_polyline(p: Point, poly: Polyline) -> bool:
-    return any(on_segment(p, a, b) for a, b in poly.segments)
+    pts = poly.points
+    return any(on_segment(p, a, b) for a, b in zip(pts, pts[1:]))
 
 
 # Positions along a polyline are (edge_index, parameter) pairs with the
@@ -370,7 +343,8 @@ def point_at(poly: Polyline, pos: Position) -> Point:
 
 def position_of(poly: Polyline, p: Point) -> Position | None:
     """First position along poly at which point p occurs, or None."""
-    for i, (a, b) in enumerate(poly.segments):
+    pts = poly.points
+    for i, (a, b) in enumerate(zip(pts, pts[1:])):
         if on_segment(p, a, b):
             if b.x != a.x:
                 t = Fraction(p.x - a.x, b.x - a.x)
@@ -530,7 +504,7 @@ def segment_meets_vstrip(a: Point, b: Point, lo: Coord, hi: Coord) -> bool:
 
 def polyline_meets_vstrip(poly: Polyline, lo: Coord, hi: Coord) -> bool:
     """True if the polyline meets the closed strip [lo, hi] x [0, inf)."""
-    for xmin, xmax, _, ymax, a, b in poly.segment_boxes:
+    for xmin, xmax, _, ymax, a, b in _segment_boxes(poly.points):
         if xmax < lo or xmin > hi or ymax < 0:
             continue
         if segment_meets_vstrip(a, b, lo, hi):

@@ -279,7 +279,7 @@ class TestCrossingSets:
             for m in inst.members:
                 hit = False
                 for poly in m.polylines():
-                    for a, b in poly.segments:
+                    for a, b in zip(poly.points, poly.points[1:]):
                         # direct scan: curves live in the closed upper
                         # half-plane, so the x-interval test is exact
                         if max(a.x, b.x) >= lo and min(a.x, b.x) <= hi:

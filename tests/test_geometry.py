@@ -467,8 +467,9 @@ def _level_one_member():
 @pytest.mark.parametrize("make, want", [
     (lambda: hash(P(2, 3)), hash((2, 3))),
     (lambda: repr(P(1, Fraction(1, 2))), "Point(x=1, y=Fraction(1, 2))"),
-    (lambda: [hasattr(v, "__dict__") for v in (P(1, 2), Probe(1, 2), _level_one_member())],
-     [False, False, False]),
+    (lambda: [hasattr(v, "__dict__") for v in (P(1, 2), Probe(1, 2), _level_one_member(),
+                                               Polyline(_VERTS, "a"))],
+     [False, False, False, False]),
     (lambda: (Polyline(list(_VERTS), "a") == Polyline(_VERTS, "a"),
               Polyline(_VERTS, "a") == Polyline(_VERTS, "b"),
               Polyline(_VERTS[:2], "a") == Polyline(_VERTS[:2] + (P(5, 5),), "a")),
@@ -487,3 +488,17 @@ def test_value_semantics(make, want):
             make()
     else:
         assert make() == want
+
+
+@given(polyline_coords(), st.integers(1, 7), st.integers(-20, 20))
+@settings(max_examples=150, deadline=None)
+def test_polyline_bbox_is_the_vertex_extent(coords, den, shift):
+    # bbox is (xmin, ymin, xmax, ymax) over the vertices, Fraction vertices
+    # included, and takes no part in equality, hashing or repr
+    for conv in (lambda v: v + shift, lambda v: Fraction(v + shift, den)):
+        poly = poly_of(coords, conv, "p")
+        xs, ys = [p.x for p in poly.points], [p.y for p in poly.points]
+        assert poly.bbox == (min(xs), min(ys), max(xs), max(ys))
+        other = poly_of(coords, conv, "p")
+        other.bbox = (0, 0, 0, 0)
+        assert poly == other and hash(poly) == hash(other) and repr(poly) == repr(other)

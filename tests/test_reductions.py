@@ -159,6 +159,24 @@ class TestColorCrossComponent:
             ok, _ = is_proper(g, Coloring(tuple(res.coloring[m.id] for m in members)))
             assert ok
 
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_aux_graph_is_planar(self, chain):
+        # the exact 4-colouring of the component graph exists because that
+        # graph is planar; networkx's planarity test checks it independently
+        import networkx as nx
+
+        rng = random.Random(73)
+        aux_edges = 0
+        for _ in range(12):
+            aux = color_cross_component(component_split(
+                lr_family(rng, max_members=30, chain=chain))).aux_graph
+            g = nx.Graph()
+            g.add_nodes_from(range(aux.n))
+            g.add_edges_from(aux.edges())
+            assert nx.check_planarity(g)[0]
+            aux_edges += aux.m
+        assert aux_edges > 0
+
 
 class TestNestedOrDisjoint:
     def test_nested_true(self):
