@@ -27,8 +27,9 @@ from itertools import accumulate
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import CertificateError, ContractError, ImproperColoring
-from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, polyline_meets_vstrip,
-                       polylines_disjoint, validate_simple)
+from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, _segment_boxes,
+                       polyline_meets_vstrip, polylines_disjoint, segment_meets_vstrip,
+                       validate_simple)
 from .families import PairMapped, validate_lr
 from .graphcore import Coloring, find_triangle, is_proper
 
@@ -79,6 +80,9 @@ class DoubleCurve:
 
     def parts(self):
         return (("L", self.left), ("R", self.right))
+
+    def part_runs(self):
+        return (("L", self.left.points), ("R", self.right.points))
 
     @property
     def basepoints(self):
@@ -365,15 +369,26 @@ def strip_hits(members, probes) -> list:
 
     Strips sorted by x_lo, with a running maximum of x_hi, let two bisections
     bound the strips a part's x-extent can reach (exactly those it overlaps
-    if the strips are disjoint); only those get the exact test."""
+    if the strips are disjoint). A part that can reach one builds its
+    segment boxes once, and each strip it reaches tests them exactly."""
     order = sorted(range(len(probes)), key=lambda s: probes[s].x_lo)
     starts = [probes[s].x_lo for s in order]
     reach = list(accumulate((probes[s].x_hi for s in order), max))
 
     def strips_met(part: Polyline) -> set:
         x0, _, x1, _ = part.bbox
-        return {s for s in order[bisect_left(reach, x0):bisect_right(starts, x1)]
-                if polyline_meets_vstrip(part, probes[s].x_lo, probes[s].x_hi)}
+        near = order[bisect_left(reach, x0):bisect_right(starts, x1)]
+        if not near:
+            return set()
+        boxes = [box for box in _segment_boxes(part.points) if box[3] >= 0]
+        met = set()
+        for s in near:
+            lo, hi = probes[s].x_lo, probes[s].x_hi
+            for xmin, xmax, _, _, a, b in boxes:
+                if xmax >= lo and xmin <= hi and segment_meets_vstrip(a, b, lo, hi):
+                    met.add(s)
+                    break
+        return met
 
     hits = [([], []) for _ in probes]
     for i, m in enumerate(members):
@@ -413,11 +428,11 @@ class BurlingReport:
 def verify_properties(inst: BurlingInstance) -> BurlingReport:
     """Geometric verification of the construction's defining properties.
 
-    Checks, in order: the size recurrences; distinct basepoints; every probe
-    disjoint from every left 1-curve; pairwise disjointness of each probe's
-    crossing set; triangle-freeness by exhaustive search; and LR-family
-    validation of the whole instance. Failures become report entries, never
-    exceptions.
+    Checks, in order: the size recurrences; distinct basepoints; pairwise
+    disjoint probes; every probe disjoint from every left 1-curve; pairwise
+    disjointness of each probe's crossing set; triangle-freeness by
+    exhaustive search; and LR-family validation of the whole instance.
+    Failures become report entries, never exceptions.
     """
     checks = []
     n_exp, p_exp = expected_sizes(inst.k)
@@ -525,9 +540,11 @@ def audit_coloring(inst: BurlingInstance, coloring: Mapping[str, int]) -> AuditR
     by_id = {m.id: m for m in inst.members}
 
     def colors_on(node: BurlingNode, probe: Probe) -> frozenset:
-        members = [by_id[mid] for mid in node.member_ids()]
-        ((_, crossing),) = strip_hits(members, [probe])
-        return frozenset(coloring[members[i].id] for i in crossing)
+        lo, hi = probe.x_lo, probe.x_hi
+        return frozenset(coloring[mid] for mid in node.member_ids()
+                         if any(part.bbox[0] <= hi and lo <= part.bbox[2]
+                                and polyline_meets_vstrip(part, lo, hi)
+                                for part in by_id[mid].polylines()))
 
     idx, colors = _descend(inst.tree, coloring, colors_on)
     if len(colors) < inst.k:

@@ -97,9 +97,10 @@ def _cmd_gen_burling(args: argparse.Namespace) -> int:
     familyfile.save(inst, args.out)
     if args.svg:
         _write(args.svg, svgrender.render_family(inst))
-    xs, ys = zip(*(p for m in inst.members for part in m.polylines() for p in part.points))
+    boxes = [part.bbox for m in inst.members for part in m.polylines()]
     print(f"generated k={inst.k}: {len(inst.members)} double-curves, "
-          f"{len(inst.probes)} probes, max x {max(xs)}, max y {max(ys)}")
+          f"{len(inst.probes)} probes, max x {max(b[2] for b in boxes)}, "
+          f"max y {max(b[3] for b in boxes)}")
     return EXIT_OK
 
 

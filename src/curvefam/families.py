@@ -44,7 +44,8 @@ class EvenCurve:
     The curve is canonically oriented so that it starts at the endpoint of
     `left`. A 1-curve has one crossing, its last point; its left and right
     are the whole curve, and it has no middle. The library builds every
-    EvenCurve after the checks of decompose_even_curve or make_one_curve.
+    EvenCurve after the checks of decompose_even_curve or make_one_curve,
+    or, in split_2t, from the end runs of one that passed them.
     """
 
     curve: Polyline
@@ -91,9 +92,15 @@ class EvenCurve:
         return (self.curve,)
 
     def parts(self) -> tuple:
-        if len(self.cross) == 1:            # a 1-curve: one polyline, both ends
-            return (("LR", self.curve),)
-        return (("L", self.left), ("M", self.middle), ("R", self.right))
+        return tuple((names, Polyline(pts, self.curve.id)) for names, pts in self.part_runs())
+
+    def part_runs(self) -> tuple:
+        """(names, points) per part, sliced from curve.points: L, M and R, or
+        one "LR" run, the whole curve, on a 1-curve."""
+        pts, i, j = self.curve.points, self.cross[0], self.cross[-1]
+        if i == j:
+            return (("LR", pts),)
+        return (("L", pts[:i + 1]), ("M", pts[i:j + 1]), ("R", pts[j:]))
 
 
 def refine_at_crossings(c: Polyline) -> Polyline:
@@ -164,7 +171,7 @@ class FamilyKind(enum.Enum):
 
 
 class PairMapped:
-    """Members (each with an id and parts()) whose part-labelled pair map and
+    """Members (each with an id and part_runs()) whose part-labelled pair map and
     intersection graph are each built once, on first use."""
 
     @cached_property
@@ -283,30 +290,38 @@ def pair_points(members) -> dict:
 
     The points are member_intersections(members[i], members[j]); on_i names
     the parts of member i through p in "LMR" order, e.g. "R", "LM", or "LR"
-    on a 1-curve. One sweep over the closed boxes of all part segments by
-    left end (Shamos and Hoey 1976; Bentley and Wood 1980) runs the exact
-    test only on box-meeting segments of two members. An OverlapError names
-    the first overlapping member pair and, in it, the first polyline pair.
+    on a 1-curve. One sweep over the closed boxes of all part segments, read
+    off each member's part_runs(), by left end (Shamos and Hoey 1976;
+    Bentley and Wood 1980) runs the exact test only on box-meeting segments
+    of two members. An OverlapError names the first overlapping member pair
+    and, in it, the first polyline pair.
     """
-    # Not geometry._segment_boxes: these boxes also carry member, part and names.
+    # Not geometry._segment_boxes: these boxes also carry member, part and
+    # names. One comparison per axis: on Fraction coordinates each costs.
     boxes = []
     for i, m in enumerate(members):
-        for k, (names, poly) in enumerate(m.parts()):
-            a, *rest = poly.points
+        for k, (names, pts) in enumerate(m.part_runs()):
+            a = pts[0]
             ax, ay = a.x, a.y
-            for b in rest:
+            for b in pts[1:]:
                 bx, by = b.x, b.y
-                boxes.append((ax if ax < bx else bx, bx if ax < bx else ax,
-                              ay if ay < by else by, by if ay < by else ay,
-                              a, b, i, k, names))
+                if ax < bx:
+                    x0, x1 = ax, bx
+                else:
+                    x0, x1 = bx, ax
+                if ay < by:
+                    y0, y1 = ay, by
+                else:
+                    y0, y1 = by, ay
+                boxes.append((x0, x1, y0, y1, a, b, i, k, names))
                 a, ax, ay = b, bx, by
     boxes.sort(key=lambda box: box[0])
     starts = [box[0] for box in boxes]
     found, overlaps = {}, []
     for n, box in enumerate(boxes):
         _, x1, y0, y1, _, _, u, _, _ = box
-        for other in boxes[n + 1:bisect_right(starts, x1)]:    # the boxes meeting box in x
-            if other[6] != u and other[3] >= y0 and y1 >= other[2]:
+        for other in boxes[n + 1:bisect_right(starts, x1, n + 1)]:  # the boxes meeting box in x
+            if other[3] >= y0 and y1 >= other[2] and other[6] != u:
                 s, t = (box, other) if u < other[6] else (other, box)
                 rel, p = segment_intersection(s[4], s[5], t[4], t[5])
                 if rel is _OVERLAP:
@@ -361,7 +376,7 @@ def validate_lr(members) -> LRResult:
     """Check that every pairwise intersection is a left-right incidence.
 
     Accepts a family (whose pair map is read) or any sequence of members
-    exposing parts() (even-curves or double-curves). Returns a certificate
+    exposing part_runs() (even-curves or double-curves). Returns a certificate
     (ok=True) or every violating (pair, point, first part of each) witness.
     Pairs missing from the map are certified disjoint.
     """

@@ -24,12 +24,12 @@ from .errors import (
 )
 from .families import (
     CurveFamily,
+    EvenCurve,
     FamilyKind,
     _even_curve,
     _restricted_families,
     _with_pairs,
     decompose_even_curve,
-    make_one_curve,
     validate_lr,
 )
 from .geometry import Point, Polyline, _quotient, on_segment, polylines_disjoint
@@ -320,7 +320,9 @@ def split_2t(fam: CurveFamily):
     2(t-1)-curve families. Each piece is a run of the member's refined
     points plus its cut point, with the member's other crossings at known
     indices, so it is not scanned or validated again. For t = 1 the derived
-    families are the left and right 1-curves.
+    families are the left and right 1-curves, each a run of the member's
+    points oriented from its endpoint to its basepoint, as make_one_curve
+    would store it.
 
     Both halves' pair maps are read off fam's, in the pass that collects
     the hits for the cuts. Number a member's arches 0..2t from its left
@@ -362,25 +364,26 @@ def split_2t(fam: CurveFamily):
         if kept2:
             pairs2[i, j] = kept2
 
-    if t == 1:
-        return (_with_pairs(tuple(make_one_curve(m.left) for m in ms),
-                            FamilyKind.ONE_CURVE, None, fam.scale, pairs1),
-                _with_pairs(tuple(make_one_curve(m.right) for m in ms),
-                            FamilyKind.ONE_CURVE, None, fam.scale, pairs2))
     f1, f2 = [], []
     for m, hits in zip(ms, meets):
+        pts, cross_idx = m.curve.points, m.cross
+        if t == 1:      # each 1-curve runs from its endpoint to its basepoint
+            i, j = cross_idx
+            f1.append(EvenCurve(Polyline(pts[:i + 1], m.id), (i,)))
+            f2.append(EvenCurve(Polyline(pts[j:][::-1], m.id), (len(pts) - 1 - j,)))
+            continue
         # A cut point lies strictly inside an edge from a crossing to a
         # vertex above the baseline, so it is above the baseline too, and a
         # piece's crossings are the member's crossings that it contains.
-        pts, cross_idx = m.curve.points, m.cross
         vi = cross_idx[2 * t - 2]          # crossing p_(2t-1)
         cut1 = _retracted_cut(pts[vi], pts[vi - 1], hits)
         f1.append(_even_curve(pts[:vi] + (cut1,), cross_idx[:2 * t - 2], m.id))
         vj = cross_idx[1]                  # crossing p_2
         cut2 = _retracted_cut(pts[vj], pts[vj + 1], hits)
         f2.append(_even_curve((cut2,) + pts[vj + 1:], [i - vj for i in cross_idx[2:]], m.id))
-    return (_with_pairs(tuple(f1), FamilyKind.TWO_T, t - 1, fam.scale, pairs1),
-            _with_pairs(tuple(f2), FamilyKind.TWO_T, t - 1, fam.scale, pairs2))
+    kind, t_half = (FamilyKind.ONE_CURVE, None) if t == 1 else (FamilyKind.TWO_T, t - 1)
+    return (_with_pairs(tuple(f1), kind, t_half, fam.scale, pairs1),
+            _with_pairs(tuple(f2), kind, t_half, fam.scale, pairs2))
 
 
 # Product coloring.

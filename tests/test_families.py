@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -312,6 +313,15 @@ class TestPairPoints:
             fam = lr_family(rng, max_members=25)
             assert self.check(fam.members) == fam.pairs
             fam = two_t_family(rng, max_members=15)
+            assert self.check(fam.members) == fam.pairs
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_slanted_two_t_families(self, t):
+        # crossings, with the baseline and between members, off the grid
+        rng = random.Random(90 + t)
+        for _ in range(4):
+            fam = two_t_family(rng, max_members=12, t=t, slanted=True)
+            assert any(type(p.x) is Fraction for m in fam.members for p in m.basepoints)
             assert self.check(fam.members) == fam.pairs
 
     def test_one_curve_families(self):

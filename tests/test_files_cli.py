@@ -449,6 +449,49 @@ def test_double_curve_file_keeps_its_scale(tmp_path):
     assert back.read_text() == familyfile.dump_json(doc)
 
 
+def test_commands_read_no_even_curve_views(tmp_path, capsys, monkeypatch):
+    # the pair map, the rewiring and the 2t splits read each member's stored
+    # points: with EvenCurve.left, middle and right raising, every command
+    # below exits 0 with the stdout and written bytes of an unpatched run
+    lr, tt, tt1 = (str(tmp_path / name) for name in ("lr.json", "tt.json", "tt1.json"))
+    familyfile.save(lr_family(random.Random(31), max_members=20), lr)
+    familyfile.save(two_t_family(random.Random(33), max_members=12), tt)
+    familyfile.save(two_t_family(random.Random(35), max_members=12, t=1, slanted=True), tt1)
+    out = tmp_path / "out"
+    out.mkdir()
+    commands = [
+        ["verify-family", lr],
+        ["color", "--exact", "--family", lr, "--out", "col.json"],
+        ["color", "--exact", "--family", tt, "--out", "col.json"],
+        ["reduce", "split-2t", "--family", tt, "--out1", "h1.json", "--out2", "h2.json",
+         "--trace", "trace.json"],
+        ["reduce", "split-2t", "--family", tt1, "--out1", "h1.json", "--out2", "h2.json"],
+        ["reduce", "product-color", "--family", tt, "--out", "col.json"],
+        ["reduce", "rewire", "--family", lr, "--out", "rw.json", "--trace", "trace.json"],
+    ]
+
+    def run_all() -> list:
+        runs = []
+        for argv in commands:
+            for f in out.iterdir():
+                f.unlink()
+            rc = main([str(out / a) if a.endswith(".json") and os.sep not in a else a
+                       for a in argv])
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            runs.append((argv[:2], rc, capsys.readouterr().out, files))
+        return runs
+
+    plain = run_all()
+
+    def no_view(self):
+        raise AssertionError("an EvenCurve part view was read")
+
+    for view in ("left", "middle", "right"):
+        monkeypatch.setattr(families.EvenCurve, view, property(no_view))
+    assert all(rc == 0 for _, rc, _, _ in plain)
+    assert run_all() == plain
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_loader_and_generator_agree(tmp_path, k):
     inst = generate(k)

@@ -318,6 +318,22 @@ class TestSplit2t:
         assert f1.kind is FamilyKind.ONE_CURVE and f2.kind is FamilyKind.ONE_CURVE
         assert build_graph(f1.members).m == 0 and build_graph(f2.members).m == 0
 
+    @pytest.mark.parametrize("slanted", [False, True])
+    def test_t1_halves_are_make_one_curve_of_the_end_parts(self, slanted):
+        # each member's halves are its left and right 1-curves as
+        # make_one_curve stores them: endpoint first, basepoint last
+        rng = random.Random(109)
+        for _ in range(3):
+            for fam in split_2t(two_t_family(rng, max_members=10, slanted=slanted)):
+                f1, f2 = split_2t(fam)
+                for m, h1, h2 in zip(fam.members, f1.members, f2.members):
+                    for half, part in ((h1, m.left), (h2, m.right)):
+                        want = make_one_curve(part)
+                        assert half == want and repr(half) == repr(want)
+                        assert (half.curve.points, half.id, half.cross) == (
+                            want.curve.points, want.id, want.cross)
+                        assert half.curve.points[0].y > 0 and half.curve.points[-1].y == 0
+
     def test_t2_basepoint_counts(self):
         rng = random.Random(83)
         fam = two_t_family(rng, max_members=5)
