@@ -78,18 +78,12 @@ class DoubleCurve:
     def polylines(self):
         return (self.left, self.right)
 
-    def parts(self):
-        return (("L", self.left), ("R", self.right))
-
     def part_runs(self):
         return (("L", self.left.points), ("R", self.right.points))
 
     @property
     def basepoints(self):
         return (self.left.points[0], self.right.points[0])
-
-    def basepoint_xs(self):
-        return [p.x for p in self.basepoints]
 
 
 class Gadget(NamedTuple):
@@ -357,7 +351,7 @@ def generate(k: int) -> BurlingInstance:
         raise CertificateError(
             f"size mismatch: got ({len(members)}, {len(probes)}), "
             f"expected ({n_exp}, {p_exp})")
-    xs = [x for m in members for x in m.basepoint_xs()]
+    xs = [p.x for m in members for p in m.basepoints]
     if len(set(xs)) != len(xs):
         raise CertificateError("basepoints are not pairwise distinct")
     return BurlingInstance(k, tuple(members), probes, tree)
@@ -441,7 +435,7 @@ def verify_properties(inst: BurlingInstance) -> BurlingReport:
         "sizes-match-recurrence", ok,
         f"|X|={len(inst.members)}, |P|={len(inst.probes)}, expected ({n_exp}, {p_exp})"))
 
-    xs = [x for m in inst.members for x in m.basepoint_xs()]
+    xs = [p.x for m in inst.members for p in m.basepoints]
     ok = len(set(xs)) == len(xs)
     checks.append(CheckResult("basepoints-distinct", ok,
                               f"{len(xs)} basepoints" if ok else "duplicate basepoint"))

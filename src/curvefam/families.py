@@ -91,9 +91,6 @@ class EvenCurve:
     def polylines(self) -> tuple:
         return (self.curve,)
 
-    def parts(self) -> tuple:
-        return tuple((names, Polyline(pts, self.curve.id)) for names, pts in self.part_runs())
-
     def part_runs(self) -> tuple:
         """(names, points) per part, sliced from curve.points: L, M and R, or
         one "LR" run, the whole curve, on a 1-curve."""
@@ -296,11 +293,11 @@ def pair_points(members) -> dict:
     of two members. An OverlapError names the first overlapping member pair
     and, in it, the first polyline pair.
     """
-    # Not geometry._segment_boxes: these boxes also carry member, part and
-    # names. One comparison per axis: on Fraction coordinates each costs.
+    # Not geometry._segment_boxes: these boxes also carry member and names.
+    # One comparison per axis: on Fraction coordinates each costs.
     boxes = []
     for i, m in enumerate(members):
-        for k, (names, pts) in enumerate(m.part_runs()):
+        for names, pts in m.part_runs():
             a = pts[0]
             ax, ay = a.x, a.y
             for b in pts[1:]:
@@ -313,29 +310,31 @@ def pair_points(members) -> dict:
                     y0, y1 = ay, by
                 else:
                     y0, y1 = by, ay
-                boxes.append((x0, x1, y0, y1, a, b, i, k, names))
+                boxes.append((x0, x1, y0, y1, a, b, i, names))
                 a, ax, ay = b, bx, by
     boxes.sort(key=lambda box: box[0])
     starts = [box[0] for box in boxes]
     found, overlaps = {}, []
     for n, box in enumerate(boxes):
-        _, x1, y0, y1, _, _, u, _, _ = box
+        _, x1, y0, y1, _, _, u, _ = box
         for other in boxes[n + 1:bisect_right(starts, x1, n + 1)]:  # the boxes meeting box in x
             if other[3] >= y0 and y1 >= other[2] and other[6] != u:
                 s, t = (box, other) if u < other[6] else (other, box)
                 rel, p = segment_intersection(s[4], s[5], t[4], t[5])
                 if rel is _OVERLAP:
-                    overlaps.append((s[6], t[6], s[7], t[7]))
+                    overlaps.append((s[6], t[6]))
                 elif rel is _POINT:
                     key = (s[6], t[6], p.x, p.y)
                     seen = found.get(key)
                     if seen is None:
-                        found[key] = (p, s[8], t[8])
+                        found[key] = (p, s[7], t[7])
                     else:
-                        found[key] = (p, _lmr(seen[1] + s[8]), _lmr(seen[2] + t[8]))
+                        found[key] = (p, _lmr(seen[1] + s[7]), _lmr(seen[2] + t[7]))
     if overlaps:                # segments_intersect raises the OverlapError
-        i, j, ki, kj = min(overlaps)
-        segments_intersect(members[i].parts()[ki][1], members[j].parts()[kj][1])
+        i, j = min(overlaps)
+        for a in members[i].polylines():
+            for b in members[j].polylines():
+                segments_intersect(a, b)
     out = {}
     for key in sorted(found):               # by pair, then by (x, y)
         out.setdefault(key[:2], []).append(found[key])

@@ -106,6 +106,7 @@ class SegRelation(enum.Enum):
 # Module globals for the pair loops: an enum attribute read costs about 100 ns.
 _DISJOINT, _POINT, _OVERLAP = SegRelation.DISJOINT, SegRelation.POINT, SegRelation.OVERLAP
 _NO_MEETING = (_DISJOINT, None)
+_xy = operator.attrgetter("x", "y")
 
 
 def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
@@ -138,22 +139,15 @@ def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
         return _POINT, Point(_quotient(x, den), _quotient(y, den))
 
     if not (c1 or c2 or c3 or c4):
-        # Collinear: project on the dominant axis and intersect parameter ranges.
-        if ax != bx or cx != dx:
-            key = lambda pt: pt.x
-        else:
-            key = lambda pt: pt.y
-        lo_p, hi_p = sorted((p1, p2), key=key)
-        lo_q, hi_q = sorted((q1, q2), key=key)
-        lo = max(key(lo_p), key(lo_q))
-        hi = min(key(hi_p), key(hi_q))
-        if lo > hi:
+        # Collinear: (x, y) order is the order along the common line, so the
+        # segments meet from the later first end to the earlier last end.
+        lo = max(min(p1, p2, key=_xy), min(q1, q2, key=_xy), key=_xy)
+        hi = min(max(p1, p2, key=_xy), max(q1, q2, key=_xy), key=_xy)
+        if _xy(lo) > _xy(hi):
             return _NO_MEETING
-        pick = lambda v: lo_p if key(lo_p) == v else (hi_p if key(hi_p) == v else
-                                                      (lo_q if key(lo_q) == v else hi_q))
         if lo == hi:
-            return _POINT, pick(lo)
-        return _OVERLAP, (pick(lo), pick(hi))
+            return _POINT, lo
+        return _OVERLAP, (lo, hi)
 
     # Touching cases: an endpoint of one segment lies on the other.
     for pt, da, (a, b) in ((p1, c1, (q1, q2)), (p2, c2, (q1, q2)),
@@ -205,9 +199,6 @@ class Polyline:
 
     def scaled(self, factor: int) -> "Polyline":
         return Polyline(tuple(p.scaled(factor) for p in self.points), self.id)
-
-
-_xy = operator.attrgetter("x", "y")
 
 
 def _segment_boxes(points) -> list:

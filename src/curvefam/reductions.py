@@ -11,7 +11,7 @@ in-between subgraph has large chromatic number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     AuxiliaryNotFourColorable,
@@ -343,7 +343,7 @@ def split_2t(fam: CurveFamily):
     ms = fam.members
     labels = [_half_labels(m, t) for m in ms]      # (label table, end labels) per member
 
-    meets = [[] for _ in ms]             # points where other members meet member i
+    meets = [[] for _ in ms]             # where others meet member i, read by the t >= 2 cuts
     pairs1, pairs2 = {}, {}
     for (i, j), hits in fam.pairs.items():
         (li, ei), (lj, ej), meets_i, meets_j = labels[i], labels[j], meets[i], meets[j]
@@ -351,8 +351,9 @@ def split_2t(fam: CurveFamily):
         for p, on_i, on_j in hits:
             if p.y < 0:
                 raise BelowBaselineIntersectionError(ms[i].id, ms[j].id, p)
-            meets_i.append(p)
-            meets_j.append(p)
+            if t > 1:
+                meets_i.append(p)
+                meets_j.append(p)
             a1, a2 = li[on_i] or _middle_labels(p, ms[i], ei)
             b1, b2 = lj[on_j] or _middle_labels(p, ms[j], ej)
             if a1 and b1:
@@ -405,27 +406,19 @@ class ProductColoringResult:
 
 
 def product_color(fam: CurveFamily, phi1: dict, phi2: dict,
-                  cell_colorer: Optional[Callable] = None,
                   budget=None) -> ProductColoringResult:
     """Combine colorings of the two derived families with per-cell colorings.
 
     Members constant on (phi1, phi2) form a cell; valid inputs make every
-    cell an LR-family, which is certified here. Each cell is colored by
-    cell_colorer (the exact solver by default); the final color of a member
-    is the dense index of (phi1, phi2, cell color). The result is proper on
-    the full family.
+    cell an LR-family, which is certified here. Each cell is colored by the
+    exact solver; the final color of a member is the dense index of (phi1,
+    phi2, cell color). The result is proper on the full family.
     """
     budget = _as_budget(budget)
     for phi, name in ((phi1, "phi1"), (phi2, "phi2")):
         missing = [m.id for m in fam.members if m.id not in phi]
         if missing:
             raise ContractError(f"{name} misses members {missing[:3]}")
-
-    if cell_colorer is None:
-        def cell_colorer(cell: CurveFamily) -> dict:
-            g = cell.graph()
-            _, w = chromatic_number(g, budget=budget)
-            return w.as_label_map(g)
 
     cells_by_key: dict = {}
     for i, m in enumerate(fam.members):
@@ -443,8 +436,9 @@ def product_color(fam: CurveFamily, phi1: dict, phi2: dict,
             raise ContractError(
                 f"cell {key} is not an LR family (were phi1/phi2 proper?): "
                 + str(cert.violations[0]))
-        cc = cell_colorer(cell_fam)
         g = cell_fam.graph()
+        _, w = chromatic_number(g, budget=budget)
+        cc = w.as_label_map(g)
         ok, edge = is_proper(g, Coloring(tuple(cc[m.id] for m in members)))
         if not ok:
             raise ImproperCellColoring(

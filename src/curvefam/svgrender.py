@@ -9,8 +9,6 @@ and printed to three decimals.
 
 from __future__ import annotations
 
-from .burling import BurlingInstance
-
 VIEW_W = 1000
 
 
@@ -63,8 +61,7 @@ def render_svg(polylines, probes=()) -> str:
 
 
 def render_family(obj) -> str:
-    """Render a CurveFamily or BurlingInstance."""
-    if isinstance(obj, BurlingInstance):
-        polys = [p for m in obj.members for p in m.polylines()]
-        return render_svg(polys, obj.probes)
-    return render_svg([m.curve for m in obj.members])
+    """Render a CurveFamily or BurlingInstance: every member's polylines,
+    and the probes of an instance."""
+    return render_svg([p for m in obj.members for p in m.polylines()],
+                      getattr(obj, "probes", ()))

@@ -307,9 +307,9 @@ def decompose_by_passes(c) -> DecomposedCurve:
     """decompose_even_curve as it was before its single crossing scan: check
     c is simple, scan its baseline contacts, insert the crossings, scan the
     refined curve again for its baseline vertices, and build the curve, its
-    basepoints, its three parts and its interval, each by itself. The
-    crossing rules are written out here again, apart from the library's
-    scan."""
+    basepoints, its three part runs (name, points) and its interval, each by
+    itself. The crossing rules are written out here again, apart from the
+    library's scan."""
     validate_simple(c)
     pts = c.points
     n = len(pts)
@@ -351,8 +351,7 @@ def decompose_by_passes(c) -> DecomposedCurve:
     return DecomposedCurve(
         curve=curve,
         basepoints=tuple(pts[i] for i in cross_idx),
-        parts=(("L", Polyline(pts[:i1 + 1], c.id)), ("M", Polyline(pts[i1:i2 + 1], c.id)),
-               ("R", Polyline(pts[i2:], c.id))),
+        parts=(("L", pts[:i1 + 1]), ("M", pts[i1:i2 + 1]), ("R", pts[i2:])),
         interval=(pts[i1].x, pts[i2].x),
     )
 

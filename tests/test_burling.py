@@ -60,7 +60,7 @@ class TestGenerate:
         inst = generate(5)
         assert time.process_time() - start < 10.0
         assert (len(inst.members), len(inst.probes)) == (39_733, 32_768)
-        xs = [x for m in inst.members for x in m.basepoint_xs()]
+        xs = [p.x for m in inst.members for p in m.basepoints]
         assert len(set(xs)) == len(xs)
         coords = [v for m in inst.members for part in m.polylines()
                   for p in part.points for v in p] + [

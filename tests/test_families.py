@@ -48,7 +48,7 @@ def _outcome(decompose, c):
     except CurvefamError as e:
         return type(e), str(e)
     if isinstance(ec, EvenCurve):           # the oracle gives a plain record
-        ec = (ec.curve, ec.basepoints, ec.parts(), ec.interval)
+        ec = (ec.curve, ec.basepoints, ec.part_runs(), ec.interval)
     return tuple(ec)
 
 

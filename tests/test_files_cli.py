@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -227,6 +228,11 @@ def _one_curve_doc():
             "curves": [{"id": "a", "points": [[0, 0], [0, 2], [3, 2]]}]}
 
 
+def _lr2_doc():
+    return {"scale": 1, "kind": "lr2",
+            "curves": [{"id": "a", "points": [[0, 2], [0, -1], [1, -1], [1, 2]]}]}
+
+
 def _at(doc, path, value):
     """doc with doc[path[0]][path[1]]... set to value."""
     *outer, last = path
@@ -280,6 +286,11 @@ _FILE_ERRORS = [
     (_one_curve_doc, ("curves", 0, "points"), [[0, 0], [0, 2], [0, 2], [3, 2]], 2,
      "ContractError: polyline 'a' repeats vertex Point(x=0, y=2)"),
     (_one_curve_doc, ("t",), 3, 4, "FileFormatError: a one_curve family file takes no t"),
+    (_one_curve_doc, ("curves", 0, "points"), [[0, 0], [0, 2], [3, -1], [4, 2]], 2,
+     "ContractError: 1-curve 'a' must stay strictly above the baseline"),
+    (_lr2_doc, ("curves", 0, "points"),
+     [[0, 2], [0, -1], [1, -1], [1, 2], [2, 2], [2, -1], [3, -1], [3, 2]], 2,
+     "FamilyValidationError: 'a' has 4 basepoints in a 2-curve family"),
 ]
 
 
@@ -901,6 +912,18 @@ class TestCli:
                      "--graph", str(path)]) == 3
         assert "solver time budget exhausted" in capsys.readouterr().err
 
+    def test_time_budget_read_by_tick(self, tmp_path, capsys, monkeypatch):
+        # a clock that jumps past the deadline once the budget has read it:
+        # the first tick leaves 1,024 nodes, so Budget.tick reads the clock
+        path = tmp_path / "c5.txt"
+        path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        clock = iter((0.0,))
+        monkeypatch.setattr(graphcore, "time", SimpleNamespace(monotonic=lambda: next(clock, 1e9)))
+        assert main(["--node-budget", "1025", "--time-budget-ms", "1", "color", "--exact",
+                     "--graph", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: SolverBudgetExceeded: solver time budget exhausted (bounds None..None)\n")
+
     def test_budget_keeps_proven_lower_bound(self, tmp_path, capsys):
         # c = 2, 3 and 4 are refuted within the budget; the c = 5 refutation
         # (about 111,000 nodes) runs out, and its core's clique of 2 must not
@@ -1073,3 +1096,22 @@ class TestOneParserPerProcess:
         body = {p: open(p, "rb").read() for p in (seeded, later, fresh)}
         assert body[later] == body[fresh]
         assert body[seeded] != body[fresh]     # the seed changes the trace
+
+
+def test_bench_job_digests_ignore_the_hash_seed():
+    # one pass of the probe-x4 and reduce-lr job lists under two string hash
+    # seeds: exit codes, output and written files must not depend on them
+    script = pathlib.Path(__file__).with_name("job_digest.py")
+    argv = [sys.executable, str(script), "--workload", "probe-x4", "--workload", "reduce-lr"]
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+             for seed in ("1", "2")]
+    try:
+        runs = [(proc.communicate(timeout=300), proc.returncode) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert runs[0][1] == 0, runs[0][0][1]
+    assert runs[1] == runs[0]
+    assert [line.split()[:3] for line in runs[0][0][0].splitlines()] == [
+        ["probe-x4", "seed=9001", "jobs=8"], ["reduce-lr", "seed=9001", "jobs=120"]]

@@ -20,11 +20,13 @@ from curvefam.geometry import (
     Point as P,
     Polyline,
     Region,
+    SegRelation,
     baseline_crossings_along,
     orientation,
     polyline_meets_vstrip,
     polylines_disjoint,
     region_of,
+    segment_intersection,
     segment_meets_vstrip,
     segments_intersect,
     subcurve,
@@ -70,6 +72,19 @@ class TestSegmentsIntersect:
     def test_overlap_rejected(self):
         with pytest.raises(OverlapError):
             segments_intersect(seg(0, 0, 4, 0), seg(2, 0, 6, 0))
+
+    @pytest.mark.parametrize("p1, p2, q1, q2, want", [
+        # collinear pairs, horizontal then vertical; the box tests of the
+        # pair loops drop the disjoint ones before this exact test
+        (P(0, 1), P(2, 1), P(3, 1), P(5, 1), (SegRelation.DISJOINT, None)),
+        (P(4, 0), P(4, 2), P(4, 6), P(4, 3), (SegRelation.DISJOINT, None)),
+        (P(0, 1), P(2, 1), P(5, 1), P(2, 1), (SegRelation.POINT, P(2, 1))),
+        (P(0, 1), P(4, 1), P(5, 1), P(2, 1), (SegRelation.OVERLAP, (P(2, 1), P(4, 1)))),
+        (P(4, 5), P(4, 0), P(4, 2), P(4, 9), (SegRelation.OVERLAP, (P(4, 2), P(4, 5)))),
+    ])
+    def test_collinear_segments(self, p1, p2, q1, q2, want):
+        assert segment_intersection(p1, p2, q1, q2) == want
+        assert segment_intersection(q2, q1, p2, p1) == want
 
     def test_shared_point_counted_once(self):
         bend = Polyline((P(0, 0), P(2, 2), P(4, 0)), "bend")

@@ -56,7 +56,7 @@ def _meetings(fam, f=None) -> list:
     """Per member pair, the common points of each pair of their parts, as
     one set mapped by f; read by the pairwise predicates, not off the
     family's pair map."""
-    parts = [[poly for _, poly in m.parts()] for m in fam.members]
+    parts = [[Polyline(pts, m.id) for _, pts in m.part_runs()] for m in fam.members]
     return [{f(p) if f else p for a in pa for b in pb for p in segments_intersect(a, b)}
             for i, pa in enumerate(parts) for pb in parts[i + 1:]]
 
@@ -68,7 +68,8 @@ def _strip_answers(fam, strips, f=None) -> list:
     for lo, hi in strips:
         if f:
             lo, hi = sorted((f(P(lo, 0)).x, f(P(hi, 0)).x))
-        out.append([sorted(polyline_meets_vstrip(poly, lo, hi) for _, poly in m.parts())
+        out.append([sorted(polyline_meets_vstrip(Polyline(pts, m.id), lo, hi)
+                           for _, pts in m.part_runs())
                     for m in fam.members])
     return out
 

@@ -446,13 +446,15 @@ class TestProductColor:
         assert res.palette == 2
         assert res.bound == 2
 
-    def test_improper_cell_colorer_rejected(self):
+    def test_improper_cell_colorer_rejected(self, monkeypatch):
+        # a cell solver that puts one colour on the two meeting members
         outer = hook("outer", 0, 2, 10, 5, 1, 2)
         inner = hook("inner", 2, 8, 8, 3, 4, 1)
         fam = CurveFamily((outer, inner), FamilyKind.TWO_T, 1)
-        with pytest.raises(ImproperCellColoring):
-            product_color(fam, {"outer": 0, "inner": 0}, {"outer": 0, "inner": 0},
-                          cell_colorer=lambda cell: {m.id: 0 for m in cell.members})
+        monkeypatch.setattr(reductions, "chromatic_number",
+                            lambda g, budget=None: (1, Coloring((0,) * g.n)))
+        with pytest.raises(ImproperCellColoring, match=r"cell \(0, 0\) coloring is improper"):
+            product_color(fam, {"outer": 0, "inner": 0}, {"outer": 0, "inner": 0})
 
     def test_missing_member_rejected(self):
         fam = CurveFamily((two_curve("a", 0, 2),), FamilyKind.TWO_T, 1)
@@ -513,11 +515,12 @@ class TestRestrictedPairMaps:
                 assert half.kind is FamilyKind.ONE_CURVE
                 assert _same_map(half)
 
-    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("t", [2, 3, 4])
     @pytest.mark.parametrize("slanted", [False, True])
     def test_split_halves(self, t, slanted):
-        # every split down the recursion: for t = 3 the halves of each half
-        # too, down to the 1-curve families
+        # every split down the recursion: for t >= 3 the halves of each half
+        # too, down to the 1-curve families; at t = 4 some hits lie strictly
+        # between arches 2 and 2t - 2
         rng = random.Random(401 + t)
         for _ in range(4):
             todo, split = [two_t_family(rng, max_members=12, t=t, slanted=slanted)], 0
@@ -651,7 +654,7 @@ class TestMcGuinness:
 
 class TestEvenCurveObjects:
     """Every EvenCurve the library builds equals field for field, and in its
-    derived basepoints, interval and parts, the one decompose_even_curve or
+    derived basepoints, interval and part runs, the one decompose_even_curve or
     make_one_curve gives for the same points."""
 
     @staticmethod
@@ -669,7 +672,7 @@ class TestEvenCurveObjects:
             assert repr(m) == repr(ref)
             for view in ("basepoints", "interval"):
                 assert repr(getattr(m, view)) == repr(getattr(ref, view)), (m.id, view)
-            assert repr(m.parts()) == repr(ref.parts()), m.id
+            assert repr(m.part_runs()) == repr(ref.part_runs()), m.id
         return len(fam.members)
 
     @staticmethod
