@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import CertificateError, ContractError, ImproperColoring
+from .errors import CertificateError, ContractError
 from .geometry import (MAX_GENERATED_CURVES, Point, Polyline, _segment_boxes,
                        polyline_meets_vstrip, polylines_disjoint, segment_meets_vstrip,
                        validate_simple)
 from .families import PairMapped, validate_lr
-from .graphcore import Coloring, find_triangle, is_proper
+from .graphcore import Coloring, _proper, find_triangle
 
 def expected_sizes(k: int):
     """(member count, probe count) for level k, from the union recurrences."""
@@ -527,9 +527,7 @@ def audit_coloring(inst: BurlingInstance, coloring: Mapping[str, int]) -> AuditR
     if missing:
         raise ContractError(f"coloring misses members {missing[:3]}")
     g = inst.graph()
-    ok, edge = is_proper(g, Coloring(tuple(coloring[l] for l in g.labels)))
-    if not ok:
-        raise ImproperColoring((g.labels[edge[0]], g.labels[edge[1]]))
+    _proper(g, Coloring(tuple(coloring[l] for l in g.labels)))
 
     by_id = {m.id: m for m in inst.members}
 

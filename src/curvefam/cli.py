@@ -23,18 +23,15 @@ from . import burling, familyfile, reductions, svgrender
 from .errors import (
     CurvefamError,
     FileFormatError,
-    ImproperColoring,
     SolverBudgetExceeded,
 )
 from .families import CurveFamily, FamilyKind, validate_lr
 from .graphcore import (
     Budget,
-    Coloring,
     chromatic_number,
     clique_number,
     format_edge_list,
     greedy_coloring,
-    is_proper,
     parse_edge_list,
 )
 
@@ -79,12 +76,6 @@ def _load_coloring(path: str) -> dict:
     if not isinstance(colors, dict):
         raise FileFormatError("coloring file needs a colors object")
     return {k: familyfile._typed(v, int, f"color of {k!r}") for k, v in colors.items()}
-
-
-def _check_proper(g, witness: Coloring) -> None:
-    ok, edge = is_proper(g, witness)
-    if not ok:
-        raise ImproperColoring((g.labels[edge[0]], g.labels[edge[1]]))
 
 
 def _coloring_doc(colors: dict) -> str:
@@ -141,7 +132,6 @@ def _cmd_color(args: argparse.Namespace) -> int:
         random.Random(args.seed).shuffle(order)
         witness = greedy_coloring(g, order)
         print(witness.num_colors)
-    _check_proper(g, witness)
     if args.out:
         _write(args.out, _coloring_doc(witness.as_label_map(g)))
     return EXIT_OK
@@ -249,8 +239,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if sub == "product-color":
         fam = _require_two_t(familyfile.load(args.family))
         coloring = reductions.two_t_product_coloring(fam, budget=_budget(args))
-        g = fam.graph()
-        _check_proper(g, Coloring(tuple(coloring[m.id] for m in fam.members)))
         _write(args.out, _coloring_doc(coloring))
         return EXIT_OK
 

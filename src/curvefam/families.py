@@ -129,14 +129,13 @@ def _even_curve(pts: tuple, cross_idx: Sequence[int], id: str) -> EvenCurve:
     """The EvenCurve of a refined curve given its interior crossing indices.
 
     pts must be the points of a simple curve with no tangency or baseline
-    edge, possibly cut short and with crossings inserted as vertices, and
+    edge and both ends above the baseline (so an even crossing count),
+    possibly cut short and with crossings inserted as vertices, and
     cross_idx must list every interior vertex on the baseline, in order.
     """
     curve = Polyline(pts, id)
     if not cross_idx or pts[0].y == 0 or pts[-1].y == 0:
         raise OddCrossingError(f"curve {id!r} is not an even-curve")
-    if len(cross_idx) % 2 != 0:
-        raise OddCrossingError(f"curve {id!r} crosses the baseline {len(cross_idx)} times")
 
     if pts[cross_idx[0]].x > pts[cross_idx[-1]].x:
         curve = curve.reversed()

@@ -182,10 +182,10 @@ def is_proper(G: IntersectionGraph, coloring: Coloring):
 
 
 def greedy_coloring(G: IntersectionGraph, order: Sequence[int]) -> Coloring:
-    """First-fit proper coloring along the given vertex order."""
+    """First-fit coloring along the given vertex order, checked proper."""
     if sorted(order) != list(range(G.n)):
         raise ContractError("order must be a permutation of the vertices")
-    return Coloring(tuple(_first_fit(G.adj, [-1] * G.n, order)))
+    return _proper(G, Coloring(tuple(_first_fit(G.adj, [-1] * G.n, order))))
 
 
 def _first_fit(adj, colors: list, order) -> list:
@@ -378,12 +378,18 @@ def _lift(G: IntersectionGraph, c: int, mapping, sub_colors: list, removed: list
     return _checked(G, Coloring(tuple(colors)), c)
 
 
-def _checked(G: IntersectionGraph, w: Coloring, c: int) -> Coloring:
-    """w, once it is proper on G and uses at most c colors: ImproperColoring
-    names a monochromatic edge, and CertificateError a witness with more."""
+def _proper(G: IntersectionGraph, w: Coloring) -> Coloring:
+    """w, once it is proper on G: ImproperColoring names a monochromatic edge."""
     ok, edge = is_proper(G, w)
     if not ok:
         raise ImproperColoring((G.labels[edge[0]], G.labels[edge[1]]))
+    return w
+
+
+def _checked(G: IntersectionGraph, w: Coloring, c: int) -> Coloring:
+    """w, once it is proper on G (_proper) and uses at most c colors:
+    CertificateError names a witness with more."""
+    _proper(G, w)
     if w.num_colors > c:
         raise CertificateError(f"witness for chi <= {c} uses {w.num_colors} colors")
     return w

@@ -439,11 +439,6 @@ def product_color(fam: CurveFamily, phi1: dict, phi2: dict,
         g = cell_fam.graph()
         _, w = chromatic_number(g, budget=budget)
         cc = w.as_label_map(g)
-        ok, edge = is_proper(g, Coloring(tuple(cc[m.id] for m in members)))
-        if not ok:
-            raise ImproperCellColoring(
-                f"cell {key} coloring is improper on "
-                f"({g.labels[edge[0]]!r}, {g.labels[edge[1]]!r})")
         palette = len(set(cc.values()))
         max_cell_palette = max(max_cell_palette, palette)
         records.append(CellRecord(key, tuple(m.id for m in members), dict(cc), palette))

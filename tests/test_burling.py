@@ -436,7 +436,7 @@ class TestAudit:
         # with the properness check patched away, a monochromatic coloring
         # reaches the audit's own invariant checks, which must raise
         inst = generate(2)
-        monkeypatch.setattr(burling, "is_proper", lambda g, col: (True, None))
+        monkeypatch.setattr(burling, "_proper", lambda g, w: w)
         with pytest.raises(CertificateError):
             audit_coloring(inst, {m.id: 0 for m in inst.members})
 

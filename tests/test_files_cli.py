@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import curvefam
-from curvefam import burling, cli, families, familyfile, geometry, graphcore, reductions
+from curvefam import burling, families, familyfile, geometry, graphcore, reductions
 from curvefam.burling import generate
 from curvefam.cli import main
 from curvefam.errors import ContractError, FileFormatError
@@ -291,6 +291,13 @@ _FILE_ERRORS = [
     (_lr2_doc, ("curves", 0, "points"),
      [[0, 2], [0, -1], [1, -1], [1, 2], [2, 2], [2, -1], [3, -1], [3, 2]], 2,
      "FamilyValidationError: 'a' has 4 basepoints in a 2-curve family"),
+    # appended, so that each row above keeps its test id
+    (_x2_doc, ("burling", "k"), 3, 4,
+     "FileFormatError: burling k = 3 disagrees with the tree level 2"),
+    (_x2_doc, ("burling", "tree", "outer", "level"), 0, 4,
+     "FileFormatError: recursion-tree level must be >= 1, got 0"),
+    (_x2_doc, ("burling", "tree", "outer", "member"), "zz", 4,
+     "FileFormatError: recursion tree members disagree with the curve list"),
 ]
 
 
@@ -351,6 +358,26 @@ def test_malformed_family_file(tmp_path, capsys, body):
     path.write_bytes(body)
     assert main(["verify-family", str(path)]) == 4
     assert "FileFormatError" in capsys.readouterr().err
+
+
+def test_top_level_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["verify-family", str(path)]) == 4
+    assert capsys.readouterr().err == f"error: FileFormatError: {path}: top level must be an object\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "component-split"], "component_split needs even-curves or double-curves"),
+    (["reduce", "rewire", "--out", "out.json"], "member 'a' has no middle part to rewire"),
+])
+def test_reduction_needs_a_curve_with_a_middle(tmp_path, capsys, monkeypatch, argv, message):
+    # a one_curve family has no middle part to split or rewire
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one.json").write_text(json.dumps(_one_curve_doc()))
+    assert main([*argv, "--family", "one.json"]) == 2
+    assert capsys.readouterr().err == f"error: ContractError: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["one.json"]
 
 
 def test_rewire_needs_a_curve_family(tmp_path, capsys):
@@ -558,14 +585,6 @@ def _left_part_in_probe_0(doc):
     gadget["parts"][0] = [[(lo + hi) // 2, 0], [(lo + hi) // 2, top]]
 
 
-def _write_two_t(tmp_path) -> str:
-    fam = two_t_family(random.Random(9), max_members=6)
-    assert build_graph(fam.members).m > 0
-    path = str(tmp_path / "fam.json")
-    familyfile.save(fam, path)
-    return path
-
-
 def _src_env() -> dict:
     """The environment for a subprocess that imports this curvefam."""
     src = os.path.dirname(os.path.dirname(curvefam.__file__))
@@ -626,6 +645,23 @@ class TestCertificateChecks:
         if found:
             pytest.fail(f"assert statements in {src}: {', '.join(found)}")
 
+    def test_one_properness_gate_in_src(self):
+        # a colouring is checked once, by the function that makes it, through
+        # graphcore._proper; only the two checks of what no callee checked
+        # (a lifted and a combined colouring in reductions) read is_proper
+        allowed = {("graphcore.py", "_proper"), ("reductions.py", "color_cross_component"),
+                   ("reductions.py", "product_color")}
+        src = pathlib.Path(curvefam.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                where = (path.name, getattr(top, "name", None))
+                found += [where for node in ast.walk(top)
+                          if getattr(node, "id", getattr(node, "attr", None)) == "is_proper"]
+        if sorted(found) != sorted(allowed):
+            pytest.fail(f"is_proper read in {src} at {sorted(found)}, not once at each of "
+                        f"{sorted(allowed)}")
+
     def test_no_constructor_bypass_in_src(self):
         # each value type has one constructor, which runs all its checks;
         # object.__new__ and a captured slot setter (X.field.__set__) build
@@ -674,20 +710,31 @@ class TestCertificateChecks:
             pytest.fail(f"unused imports in {src}: {', '.join(found)}")
 
     def test_improper_exact_witness_rejected(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "path.txt"
-        path.write_text("3 2\n0 1\n1 2\n")
-        monkeypatch.setattr(cli, "chromatic_number",
-                            lambda g, budget=None: (1, Coloring((0,) * g.n)))
+        # a search that colours every vertex alike: chromatic_number's own
+        # witness check ends the command, which checks nothing itself
+        path = tmp_path / "c5.txt"
+        path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        monkeypatch.setattr(graphcore, "_decide_core",
+                            lambda g, c, budget, clique: [0] * g.n)
         assert main(["color", "--exact", "--graph", str(path)]) == 2
-        assert "ImproperColoring" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ImproperColoring: monochromatic edge ('0', '1')\n"
 
     def test_improper_product_coloring_rejected(self, tmp_path, capsys, monkeypatch):
-        fam_path = _write_two_t(tmp_path)
-        monkeypatch.setattr(reductions, "two_t_product_coloring",
-                            lambda fam, budget=None: {m.id: 0 for m in fam.members})
+        # two meeting hooks in a t = 1 file, each cell coloured with one
+        # colour: product_color's combined check ends the command
+        outer = decompose_even_curve(Polyline(
+            (P(0, 2), P(0, -2), P(10, -2), P(10, 5), P(1, 5)), "outer"))
+        inner = decompose_even_curve(Polyline(
+            (P(2, 8), P(2, -1), P(8, -1), P(8, 3), P(4, 3)), "inner"))
+        fam_path = str(tmp_path / "hooks.json")
+        familyfile.save(CurveFamily((outer, inner), FamilyKind.TWO_T, 1), fam_path)
+        monkeypatch.setattr(reductions, "chromatic_number",
+                            lambda g, budget=None: (1, Coloring((0,) * g.n)))
         assert main(["reduce", "product-color", "--family", fam_path,
                      "--out", str(tmp_path / "col.json")]) == 2
-        assert "ImproperColoring" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: ImproperCellColoring: combined coloring "
+                                           "improper on ('outer', 'inner')\n")
 
 
 class TestCli:

@@ -270,6 +270,20 @@ class TestGreedyAndProper:
         with pytest.raises(ContractError):
             greedy_coloring(K(3), [0, 1, 1])
 
+    def test_bad_greedy_coloring_rejected(self, monkeypatch, tmp_path, capsys):
+        # first-fit that gives every vertex colour 0: greedy_coloring's own
+        # check rejects it, and the CLI only reports the error
+        from curvefam.cli import EXIT_VALIDATION, main
+
+        monkeypatch.setattr(graphcore, "_first_fit", lambda adj, colors, order: [0] * len(colors))
+        with pytest.raises(ImproperColoring, match=r"\('0', '1'\)"):
+            greedy_coloring(C(5), list(range(5)))
+        path = tmp_path / "c5.txt"
+        path.write_text(format_edge_list(C(5)))
+        assert main(["color", "--greedy", "--seed", "1", "--graph", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ImproperColoring: monochromatic edge ('0', '1')\n"
+
     @given(small_graphs(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_greedy_proper_and_degree_bound(self, g, rnd):
@@ -363,6 +377,17 @@ class TestGraphStructure:
         # has no need of
         with pytest.raises(ContractError, match="adjacency must be symmetric"):
             IntersectionGraph(3, (0b110, 0b001, 0b000), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: IntersectionGraph(2, (0b100, 0), ("a", "b")), "adjacency mask out of range"),
+        (lambda: IntersectionGraph(1, (0b1,), ("a",)), "graph must be irreflexive"),
+        (lambda: IntersectionGraph(2, (0b10, 0b01), ("a",)), "labels must match vertex count"),
+        (lambda: graph_from_edges(2, [(0, 0)]), "self-loop at 0"),
+        (lambda: chromatic_decision(C(5), -1), "color count must be nonnegative"),
+    ])
+    def test_contract_errors(self, build, message):
+        with pytest.raises(ContractError, match=message):
+            build()
 
     def test_edges_checked_once(self, monkeypatch):
         # graph_from_edges checks each edge as it adds it, then builds the

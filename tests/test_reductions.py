@@ -447,13 +447,15 @@ class TestProductColor:
         assert res.bound == 2
 
     def test_improper_cell_colorer_rejected(self, monkeypatch):
-        # a cell solver that puts one colour on the two meeting members
+        # a cell solver that puts one colour on the two meeting members: the
+        # combined colouring's check catches it
         outer = hook("outer", 0, 2, 10, 5, 1, 2)
         inner = hook("inner", 2, 8, 8, 3, 4, 1)
         fam = CurveFamily((outer, inner), FamilyKind.TWO_T, 1)
         monkeypatch.setattr(reductions, "chromatic_number",
                             lambda g, budget=None: (1, Coloring((0,) * g.n)))
-        with pytest.raises(ImproperCellColoring, match=r"cell \(0, 0\) coloring is improper"):
+        with pytest.raises(ImproperCellColoring,
+                           match=r"combined coloring improper on \('outer', 'inner'\)"):
             product_color(fam, {"outer": 0, "inner": 0}, {"outer": 0, "inner": 0})
 
     def test_missing_member_rejected(self):
